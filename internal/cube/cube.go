@@ -11,6 +11,7 @@ package cube
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -82,10 +83,41 @@ func New(width int) Cube {
 	return c
 }
 
+// badByte marks the bytes of tritOfByte that are not a trit spelling.
+const badByte Trit = 0xff
+
+// tritOfByte maps every accepted trit character (the ASCII spellings
+// ParseTrit takes) to its trit and every other byte to badByte.
+var tritOfByte = func() (tab [256]Trit) {
+	for i := range tab {
+		tab[i] = badByte
+	}
+	tab['0'], tab['1'] = Zero, One
+	tab['x'], tab['X'], tab['-'] = X, X, X
+	return tab
+}()
+
 // Parse builds a cube from a string such as "01XX0". It accepts the same
 // characters as ParseTrit and ignores nothing: the cube width equals the
 // rune count.
 func Parse(s string) (Cube, error) {
+	// Every accepted character is one ASCII byte, so a valid cube is
+	// one table lookup per byte; the first other byte (possibly the
+	// start of a multi-byte rune) hands over to the rune loop, which
+	// reports it exactly as ParseTrit spells the error.
+	c := make(Cube, len(s))
+	for i := 0; i < len(s); i++ {
+		t := tritOfByte[s[i]]
+		if t == badByte {
+			return parseRunes(s)
+		}
+		c[i] = t
+	}
+	return c, nil
+}
+
+// parseRunes is Parse one rune at a time through ParseTrit.
+func parseRunes(s string) (Cube, error) {
 	c := make(Cube, 0, len(s))
 	for _, r := range s {
 		t, err := ParseTrit(r)
@@ -110,10 +142,24 @@ func MustParse(s string) Cube {
 func (c Cube) String() string {
 	var b strings.Builder
 	b.Grow(len(c))
-	for _, t := range c {
-		b.WriteRune(t.Rune())
-	}
+	writeTrits(&b, c)
 	return b.String()
+}
+
+// writeTrits renders c into b through the "01X" table, any trit value
+// from X up reading 'X' as in Trit.Rune. Staging a chunk of characters
+// on the stack and writing it in one call keeps the per-trit work to
+// one lookup.
+func writeTrits(b *strings.Builder, c Cube) {
+	var chunk [512]byte
+	for len(c) > 0 {
+		k := min(len(c), len(chunk))
+		for i, t := range c[:k] {
+			chunk[i] = "01X"[min(t, X)]
+		}
+		b.Write(chunk[:k])
+		c = c[k:]
+	}
 }
 
 // Clone returns an independent copy of c.
@@ -138,13 +184,29 @@ func (c Cube) Equal(o Cube) bool {
 
 // XCount returns the number of don't-care bits in c.
 func (c Cube) XCount() int {
-	n := 0
-	for _, t := range c {
+	// Eight trits per step: XOR with X turns each X byte to zero, and
+	// the zero-byte test below marks exactly those bytes, without the
+	// mispredicted branch a per-trit compare takes on random X patterns.
+	const xBytes, low7 = uint64(X) * lowBits, 0x7f7f7f7f7f7f7f7f
+	n, i := 0, 0
+	for ; i+8 <= len(c); i += 8 {
+		y := trits8(c, i) ^ xBytes
+		n += bits.OnesCount64(^((y&low7 + low7) | y | low7))
+	}
+	for _, t := range c[i:] {
 		if t == X {
 			n++
 		}
 	}
 	return n
+}
+
+// trits8 loads c[i:i+8] as one little-endian word, trit i in the low
+// byte.
+func trits8(c Cube, i int) uint64 {
+	t := c[i : i+8 : i+8]
+	return uint64(t[0]) | uint64(t[1])<<8 | uint64(t[2])<<16 | uint64(t[3])<<24 |
+		uint64(t[4])<<32 | uint64(t[5])<<40 | uint64(t[6])<<48 | uint64(t[7])<<56
 }
 
 // CareCount returns the number of specified bits in c.

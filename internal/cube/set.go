@@ -200,13 +200,32 @@ func (s *Set) toggleScan(profile []int) (peak, total int) {
 	return peak, total
 }
 
+// Constants of the 8-trits-per-word loops (see trits8): lowBits selects
+// bit 0 of every byte, and multiplying a word with only those bits set
+// by gather8 moves bit 0 of byte k to bit 56+k without carries, so the
+// top byte of the product holds the eight bits in trit order.
+const (
+	lowBits uint64 = 0x0101010101010101
+	gather8 uint64 = 0x0102040810204080
+)
+
 // packCubeWords packs one cube into care/value bit words (branchless;
-// the word slices are fully overwritten).
+// the word slices are fully overwritten). Eight trits load as one
+// little-endian word and reduce to a byte of care and a byte of value
+// bits with a multiply-gather; the per-trit encoding is the same in
+// both loops: care = (t>>1)^1, val = t & care, taken at bit 0.
 func packCubeWords(c Cube, care, val []uint64) {
-	for w := range care {
-		care[w], val[w] = 0, 0
+	clear(care)
+	clear(val)
+	i := 0
+	for ; i+8 <= len(c); i += 8 {
+		x := trits8(c, i)
+		cb := ((x >> 1) ^ lowBits) & lowBits
+		care[i/64] |= (cb * gather8 >> 56) << (i % 64)
+		val[i/64] |= ((x & cb) * gather8 >> 56) << (i % 64)
 	}
-	for i, t := range c {
+	for ; i < len(c); i++ {
+		t := c[i]
 		cb := uint64((t>>1)^1) & 1 // 0/1 → 1, X → 0
 		care[i/64] |= cb << (i % 64)
 		val[i/64] |= (uint64(t) & cb) << (i % 64)
@@ -241,6 +260,29 @@ func (s *Set) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// Strings renders the set one string per cube, as Cube.String would,
+// the inline JSON form of a cube matrix. All cubes render into one
+// shared buffer, so the call makes two allocations (the string headers
+// and the buffer) whatever the set's size, and any one string kept
+// alive keeps the whole rendering alive.
+func (s *Set) Strings() []string {
+	out := make([]string, len(s.Cubes))
+	total := 0
+	for _, c := range s.Cubes {
+		total += len(c)
+	}
+	var b strings.Builder
+	b.Grow(total)
+	for _, c := range s.Cubes {
+		writeTrits(&b, c)
+	}
+	all := b.String()
+	for i, c := range s.Cubes {
+		out[i], all = all[:len(c)], all[len(c):]
+	}
+	return out
 }
 
 // Write serializes the set in the plain text cube-file format: one cube

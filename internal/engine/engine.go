@@ -72,6 +72,10 @@ type Result struct {
 	Filled *cube.Set
 	// Peak and Total are the peak and total toggle counts of Filled.
 	Peak, Total int
+	// Profile is the per-cycle toggle count of Filled
+	// (cube.Set.ToggleProfile), counted in the same pass as Peak and
+	// Total so a front-end never has to rescan the output.
+	Profile []int
 	// Duration is the job's wall-clock time inside a worker.
 	Duration time.Duration
 	// Err is the job's failure, if any.
@@ -314,7 +318,7 @@ func (e *Engine) runJob(ctx context.Context, idx int, job Job) (res Result) {
 		return res
 	}
 	res.Filled = filled
-	res.Peak, res.Total, _ = filled.ToggleStats()
+	res.Peak, res.Total, res.Profile = filled.ToggleStats()
 	return res
 }
 

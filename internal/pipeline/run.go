@@ -71,14 +71,6 @@ func reportName(req Request, c *circuit.Circuit) string {
 	return c.Name
 }
 
-func cubeStrings(set *cube.Set) []string {
-	out := make([]string, set.Len())
-	for i, cb := range set.Cubes {
-		out[i] = cb.String()
-	}
-	return out
-}
-
 // addStats folds one shard's generation counters into the aggregate.
 func addStats(agg *ATPGReport, st atpg.Stats) {
 	agg.TotalFaults += st.TotalFaults
@@ -168,7 +160,7 @@ func runShard(ctx context.Context, req Request, c *circuit.Circuit, stages []Sta
 			Patterns: set.Len(),
 			Coverage: st.Coverage(),
 			XPercent: set.XPercent(),
-			Cubes:    cubeStrings(set),
+			Cubes:    set.Strings(),
 		},
 		Stages: stages,
 	}
@@ -257,7 +249,7 @@ func Finish(ctx context.Context, req Request, c *circuit.Circuit, set *cube.Set,
 		agg.Curve[i] = CurvePoint(pt)
 	}
 	if req.IncludeCubes {
-		agg.Cubes = cubeStrings(set)
+		agg.Cubes = set.Strings()
 	}
 	stages = append(stages, StageTiming{Stage: "curve", DurationMillis: millis(time.Since(t0))})
 
@@ -289,7 +281,7 @@ func Finish(ctx context.Context, req Request, c *circuit.Circuit, set *cube.Set,
 		Profile:  profile,
 	}
 	if req.IncludeCubes {
-		fillRep.Cubes = cubeStrings(filled)
+		fillRep.Cubes = filled.Strings()
 	}
 	stages = append(stages, StageTiming{Stage: "fill", DurationMillis: millis(time.Since(t0))})
 	opt.progress(base + 1)

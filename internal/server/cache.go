@@ -13,12 +13,14 @@ import (
 )
 
 // cachedFill is one memoized fill outcome. The cache owns its entries
-// outright: Put stores a deep copy and Get hands one back, so no live
-// *cube.Set or slice pointer is ever shared between the cache and a
-// response being served — a handler (present or future) mutating what
-// it serializes cannot poison the answer every later request gets.
+// outright: Put stores a copy and Get hands one back, so no slice is
+// ever shared between the cache and a response being served — a
+// handler (present or future) overwriting a slot of what it serializes
+// cannot poison the answer every later request gets.
 type cachedFill struct {
-	Filled  *cube.Set
+	// Cubes is the filled set rendered once, when the entry was
+	// computed, so a hit serves it without rendering again.
+	Cubes   []string
 	Perm    []int
 	Peak    int
 	Total   int
@@ -30,16 +32,16 @@ type cachedFill struct {
 	Explain *core.Trace
 }
 
-// clone deep-copies the entry, nil sub-fields preserved.
+// clone copies the entry, nil sub-fields preserved. Strings are
+// immutable, so copying the Cubes headers is a full copy of the
+// rendered set.
 func (e *cachedFill) clone() *cachedFill {
 	out := &cachedFill{
+		Cubes:   slices.Clone(e.Cubes),
 		Perm:    slices.Clone(e.Perm),
 		Peak:    e.Peak,
 		Total:   e.Total,
 		Profile: slices.Clone(e.Profile),
-	}
-	if e.Filled != nil {
-		out.Filled = e.Filled.Clone()
 	}
 	if e.Explain != nil {
 		tr := *e.Explain
@@ -53,13 +55,20 @@ func (e *cachedFill) clone() *cachedFill {
 // outcome: the exact cube matrix, the algorithm pair, and the seed
 // (R-fill and ISA are seed-dependent). Two requests with the same
 // digest are guaranteed the same fully-specified output, so repeated
-// pattern sets skip recomputation entirely.
+// pattern sets skip recomputation entirely. The matrix is hashed as
+// its canonical trit bytes (one byte per trit value, cube after cube;
+// the width in the header fixes the row boundaries), so every spelling
+// of a don't-care keys alike and no cube is rendered to text.
 func fillDigest(s *cube.Set, orderer, filler string, seed int64) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "w=%d|n=%d|ord=%s|fill=%s|seed=%d\n", s.Width, s.Len(), orderer, filler, seed)
+	row := make([]byte, s.Width)
 	for _, c := range s.Cubes {
-		h.Write([]byte(c.String()))
-		h.Write([]byte{'\n'})
+		row = row[:len(c)]
+		for i, t := range c {
+			row[i] = byte(t)
+		}
+		h.Write(row)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -94,7 +103,7 @@ func newLRUCache(capacity int) *lruCache {
 	}
 }
 
-// Get returns a private deep copy of the entry for key and marks it
+// Get returns a private copy of the entry for key and marks it
 // most recently used: the caller may do anything with the result.
 func (c *lruCache) Get(key string) (*cachedFill, bool) {
 	if c == nil {
@@ -110,7 +119,7 @@ func (c *lruCache) Get(key string) (*cachedFill, bool) {
 	return el.Value.(*lruEntry).val.clone(), true
 }
 
-// Put inserts or refreshes key with a deep copy of v — the caller
+// Put inserts or refreshes key with a copy of v — the caller
 // keeps sole ownership of what it passed in — evicting the least
 // recently used entry when the cache is full.
 func (c *lruCache) Put(key string, v *cachedFill) {

@@ -42,41 +42,43 @@ func TestLRUCacheEviction(t *testing.T) {
 func TestCacheEntriesDoNotAliasCallers(t *testing.T) {
 	c := newLRUCache(4)
 	entry := &cachedFill{
-		Filled:  cube.MustParseSet("0101", "1010"),
+		Cubes:   []string{"0101", "1010"},
 		Perm:    []int{1, 0},
 		Peak:    4,
 		Total:   4,
 		Profile: []int{4},
 	}
 	c.Put("k", entry)
-	// Mutating what the caller passed to Put must not reach the cache.
-	entry.Filled.Cubes[0][0] = cube.One
+	// Overwriting a slot of what the caller passed to Put must not
+	// reach the cache.
+	entry.Cubes[0] = "1111"
 	entry.Perm[0] = 99
 	entry.Profile[0] = 99
 	served, ok := c.Get("k")
 	if !ok {
 		t.Fatal("entry missing")
 	}
-	if served.Filled.Cubes[0][0] != cube.Zero || served.Perm[0] != 1 || served.Profile[0] != 4 {
+	if served.Cubes[0] != "0101" || served.Perm[0] != 1 || served.Profile[0] != 4 {
 		t.Fatalf("Put aliased the caller's data: %+v", served)
 	}
-	// Mutating a served response must not reach the cache either.
-	served.Filled.Cubes[1][1] = cube.One
+	// Overwriting a slot of a served entry must not reach the cache
+	// either.
+	served.Cubes[1] = "0000"
 	served.Perm[1] = 99
 	served.Profile[0] = 99
 	again, ok := c.Get("k")
 	if !ok {
 		t.Fatal("entry missing on second get")
 	}
-	if again.Filled.Cubes[1][1] != cube.Zero || again.Perm[1] != 0 || again.Profile[0] != 4 {
-		t.Fatalf("Get handed out a live pointer into the cache: %+v", again)
+	if again.Cubes[1] != "1010" || again.Perm[1] != 0 || again.Profile[0] != 4 {
+		t.Fatalf("Get handed out a live slice of the cache: %+v", again)
 	}
 }
 
 func TestCachedFillCloneHandlesNilFields(t *testing.T) {
 	e := &cachedFill{Peak: 7}
 	got := e.clone()
-	if got.Filled != nil || got.Perm != nil || got.Profile != nil || got.Peak != 7 {
+	if got.Cubes != nil || got.Perm != nil || got.Profile != nil || got.Explain != nil || got.Peak != 7 {
 		t.Fatalf("clone of sparse entry: %+v", got)
 	}
 }

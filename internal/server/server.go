@@ -369,7 +369,7 @@ func finishFill(resp *FillResponse, entry *cachedFill, omitCubes, cached bool, e
 	resp.Total = entry.Total
 	resp.Profile = entry.Profile
 	if !omitCubes {
-		resp.Cubes = cubeStrings(entry.Filled)
+		resp.Cubes = entry.Cubes
 	}
 	resp.Cached = cached
 	// Nanoseconds in float64: microsecond flooring would zero out
@@ -398,11 +398,11 @@ func (s *Server) runFill(ctx context.Context, req FillRequest) (*FillResponse, e
 		return nil, r.Err
 	}
 	entry := &cachedFill{
-		Filled:  r.Filled,
+		Cubes:   r.Filled.Strings(),
 		Perm:    r.Perm,
 		Peak:    r.Peak,
 		Total:   r.Total,
-		Profile: r.Filled.ToggleProfile(),
+		Profile: r.Profile,
 		Explain: tr,
 	}
 	s.cache.Put(digest, entry)
@@ -528,11 +528,11 @@ func (s *Server) runBatch(ctx context.Context, req BatchRequest) *BatchResponse 
 			continue
 		}
 		entry := &cachedFill{
-			Filled:  res.Filled,
+			Cubes:   res.Filled.Strings(),
 			Perm:    res.Perm,
 			Peak:    res.Peak,
 			Total:   res.Total,
-			Profile: res.Filled.ToggleProfile(),
+			Profile: res.Profile,
 			Explain: traces[k],
 		}
 		entries[k] = entry

@@ -226,6 +226,94 @@ func TestFillCacheHitSkipsRecomputation(t *testing.T) {
 	}
 }
 
+// postFillBody sends a fill request and returns the response body with
+// the two fields that legitimately differ between a miss and a hit —
+// duration_ms and cached — removed, every other field kept as the
+// exact bytes the server wrote.
+func postFillBody(t *testing.T, url string, req FillRequest) (map[string]json.RawMessage, bool) {
+	t.Helper()
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/fill", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&fields); err != nil {
+		t.Fatal(err)
+	}
+	var cached bool
+	if err := json.Unmarshal(fields["cached"], &cached); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "cached")
+	delete(fields, "duration_ms")
+	return fields, cached
+}
+
+// TestFillCacheHitIsByteIdentical pins that a cache hit serves exactly
+// the JSON of the miss that filled the cache, rendered cubes, profile
+// and explain included — also when the populating miss omitted its
+// cubes, so the entry was rendered for a later caller.
+func TestFillCacheHitIsByteIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	cubes := make([]string, 40)
+	for i := range cubes {
+		b := make([]byte, 130) // crosses the 64- and 128-pin word edges
+		for k := range b {
+			b[k] = "01xX-XXX"[r.Intn(8)]
+		}
+		cubes[i] = string(b)
+	}
+	req := FillRequest{Cubes: cubes, Orderer: "i", Debug: true}
+
+	_, ts := newTestServer(t, Config{})
+	miss, cached := postFillBody(t, ts.URL, req)
+	if cached {
+		t.Fatal("first request claims a cache hit")
+	}
+	hit, cached := postFillBody(t, ts.URL, req)
+	if !cached {
+		t.Fatal("second identical request missed the cache")
+	}
+	assertSameFields(t, miss, hit)
+
+	// A fresh server whose cache was filled by an omit_cubes miss must
+	// still serve the full answer, identical to the computed one. Its
+	// explain comes from a second run, whose stage timings differ.
+	_, ts2 := newTestServer(t, Config{})
+	omit := req
+	omit.OmitCubes = true
+	if _, cached := postFillBody(t, ts2.URL, omit); cached {
+		t.Fatal("omit_cubes request claims a cache hit")
+	}
+	hit2, cached := postFillBody(t, ts2.URL, req)
+	if !cached {
+		t.Fatal("full request after omit_cubes missed the cache")
+	}
+	delete(miss, "explain")
+	delete(hit2, "explain")
+	assertSameFields(t, miss, hit2)
+}
+
+func assertSameFields(t *testing.T, want, got map[string]json.RawMessage) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("hit has %d fields, miss %d", len(got), len(want))
+	}
+	for k, w := range want {
+		if !bytes.Equal(got[k], w) {
+			t.Errorf("field %q: hit %s, miss %s", k, got[k], w)
+		}
+	}
+}
+
 func TestFillOmitCubes(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var out FillResponse
