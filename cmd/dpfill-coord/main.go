@@ -1,8 +1,8 @@
 // Command dpfill-coord runs the fill-cluster coordinator: a daemon
-// that shards /v1/batch workloads across a fleet of dpfilld workers,
-// health-checks them by heartbeat, retries failed shards on other
-// workers, and serves the same /v1/* API the workers do — callers
-// never learn the topology.
+// that shards /v1/batch workloads (and fault-shards /v1/pipeline runs)
+// across a fleet of dpfilld workers, health-checks them by heartbeat,
+// retries failed shards on other workers, and serves the same /v1/*
+// API the workers do — callers never learn the topology.
 //
 // Usage:
 //
@@ -10,24 +10,17 @@
 //	    -worker http://fill-1:8080 -worker http://fill-2:8080 \
 //	    -heartbeat 2s -shard-size 16 -hedge-after 500ms
 //
-// Endpoints:
+// The endpoints are the ones documented in the internal/server package
+// doc; /healthz adds the admitted worker count, and /stats is the
+// fleet view: shards, retries, hedges and per-worker load.
 //
-//	POST   /v1/fill      one cube set, routed to the least-loaded worker
-//	POST   /v1/batch     many jobs, sharded across the fleet
-//	POST   /v1/grid      every Table II-IV filler on one set, proxied
-//	POST   /v1/jobs      submit a batch asynchronously -> job ID (202)
-//	GET    /v1/jobs      list retained async jobs
-//	GET    /v1/jobs/{id} async job status/progress/result
-//	DELETE /v1/jobs/{id} cancel an async job
-//	GET    /healthz      coordinator liveness + admitted worker count
-//	GET    /stats        fleet view: shards, retries, hedges, per-worker load
-//
-// Async jobs shard across the fleet exactly like synchronous batches;
-// with -data-dir they are journaled and survive a coordinator restart.
+// Async jobs, batches and pipelines alike, shard across the fleet
+// exactly like synchronous requests; with -data-dir they are journaled
+// and survive a coordinator restart.
 //
 // With no reachable workers the coordinator answers on a local
-// in-process engine unless -fallback=false. The daemon shuts down
-// gracefully on SIGINT/SIGTERM.
+// in-process engine, by a direct call, unless -fallback=false. The
+// daemon shuts down gracefully on SIGINT/SIGTERM.
 package main
 
 import (
@@ -44,7 +37,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/debugz"
-	"repro/internal/logx"
 	"repro/internal/server"
 )
 
@@ -86,22 +78,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	attemptTimeout := fs.Duration("attempt-timeout", 3*time.Minute, "per-worker answer deadline before a shard fails over (hung-worker guard)")
 	fallback := fs.Bool("fallback", true, "run jobs on a local in-process engine when no worker is reachable")
 	localWorkers := fs.Int("fallback-workers", 0, "local fallback engine worker bound (0 = GOMAXPROCS)")
-	maxBody := fs.Int64("max-body", 8<<20, "largest accepted request body in bytes")
 	maxBatch := fs.Int("max-batch", 256, "largest accepted job count per batch")
-	grace := fs.Duration("grace", 5*time.Second, "graceful shutdown window")
-	accessLog := fs.Bool("access-log", false, "log one structured record per request (with X-Request-ID) to stderr")
-	logLevel := fs.String("log-level", "info", "log severity floor: debug, info, warn or error")
-	logFormat := fs.String("log-format", "logfmt", "log line encoding: logfmt or json")
-	debugAddr := fs.String("debug-addr", "", "serve pprof profiles and /metrics on this admin address (empty disables)")
-	slowThreshold := fs.Duration("slow-threshold", time.Second, "latency SLO: slower /v1/* requests are captured in /stats slow_requests (negative disables)")
-	dataDir := fs.String("data-dir", "", "journal async jobs here so they survive restarts (empty = memory only)")
-	maxJobs := fs.Int("max-jobs", 256, "largest accepted async job backlog before 429")
-	jobRetention := fs.Int("job-retention", 256, "settled async jobs kept queryable")
-	jobWorkers := fs.Int("job-workers", 1, "async jobs dispatched concurrently")
+	frontFlags := server.FrontFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := buildLogger(*accessLog, *logLevel, *logFormat)
+	local := server.Config{Workers: *localWorkers, MaxBatchJobs: *maxBatch}
+	debugAddr, err := frontFlags(&local)
 	if err != nil {
 		return err
 	}
@@ -118,16 +101,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		AttemptTimeout:  *attemptTimeout,
 		DisableFallback: !*fallback,
 		DisableAffinity: *noAffinity,
-		Local:           server.Config{Workers: *localWorkers},
-		MaxBodyBytes:    *maxBody,
-		MaxBatchJobs:    *maxBatch,
-		ShutdownGrace:   *grace,
-		Log:             logger,
-		SlowThreshold:   *slowThreshold,
-		DataDir:         *dataDir,
-		MaxQueuedJobs:   *maxJobs,
-		JobRetention:    *jobRetention,
-		JobWorkers:      *jobWorkers,
+		Local:           local,
 	})
 	if err != nil {
 		return err
@@ -136,9 +110,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *debugAddr != "" {
+	if debugAddr != "" {
 		go func() {
-			if derr := debugz.ListenAndServe(ctx, *debugAddr, co.Metrics()); derr != nil {
+			if derr := debugz.ListenAndServe(ctx, debugAddr, co.Metrics()); derr != nil {
 				fmt.Fprintln(os.Stderr, "dpfill-coord: debug listener:", derr)
 			}
 		}()
@@ -150,21 +124,4 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "dpfill-coord: shut down cleanly")
 	}
 	return err
-}
-
-// buildLogger resolves the logging flags into a structured stderr
-// logger, nil when -access-log is off (logging disabled).
-func buildLogger(enabled bool, level, format string) (*logx.Logger, error) {
-	if !enabled {
-		return nil, nil
-	}
-	lv, err := logx.ParseLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	fm, err := logx.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	return logx.New(os.Stderr, logx.Options{Level: lv, Format: fm}), nil
 }

@@ -7,17 +7,9 @@
 //
 //	dpfilld -addr :8080 -workers 8 -cache 512 -data-dir /var/lib/dpfill
 //
-// Endpoints (see internal/server for the request/response schema):
-//
-//	POST   /v1/fill      one cube set -> filled set + toggle statistics
-//	POST   /v1/batch     many jobs, one engine batch, per-job isolation
-//	POST   /v1/grid      every Table II-IV filler on one set
-//	POST   /v1/jobs      submit a batch asynchronously -> job ID (202)
-//	GET    /v1/jobs      list retained async jobs
-//	GET    /v1/jobs/{id} async job status/progress/result
-//	DELETE /v1/jobs/{id} cancel an async job
-//	GET    /healthz      liveness
-//	GET    /stats        jobs served, cache hit rate, p50/p99 latency
+// The endpoints — fill, batch, grid, pipeline, async jobs, /healthz,
+// /stats and /metrics — are documented in the internal/server package
+// doc.
 //
 // With -data-dir the async job queue is journaled there: a daemon
 // killed mid-job re-runs accepted work on restart and answers with the
@@ -39,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/debugz"
-	"repro/internal/logx"
 	"repro/internal/server"
 )
 
@@ -59,42 +50,25 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cacheSize := fs.Int("cache", 256, "result cache entries (negative disables)")
 	maxRows := fs.Int("max-rows", 4096, "largest accepted cube count per set")
 	maxCols := fs.Int("max-cols", 65536, "largest accepted cube width")
-	maxBody := fs.Int64("max-body", 8<<20, "largest accepted request body in bytes")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-job deadline")
 	maxTimeout := fs.Duration("max-timeout", 2*time.Minute, "ceiling for requested deadlines")
-	grace := fs.Duration("grace", 5*time.Second, "graceful shutdown window")
-	accessLog := fs.Bool("access-log", false, "log one structured record per request (with X-Request-ID) to stderr")
-	logLevel := fs.String("log-level", "info", "log severity floor: debug, info, warn or error")
-	logFormat := fs.String("log-format", "logfmt", "log line encoding: logfmt or json")
-	debugAddr := fs.String("debug-addr", "", "serve pprof profiles and /metrics on this admin address (empty disables)")
-	slowThreshold := fs.Duration("slow-threshold", time.Second, "latency SLO: slower /v1/* requests are captured in /stats slow_requests (negative disables)")
-	dataDir := fs.String("data-dir", "", "journal async jobs here so they survive restarts (empty = memory only)")
-	maxJobs := fs.Int("max-jobs", 256, "largest accepted async job backlog before 429")
-	jobRetention := fs.Int("job-retention", 256, "settled async jobs kept queryable")
-	jobWorkers := fs.Int("job-workers", 1, "async jobs executed concurrently")
+	frontFlags := server.FrontFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := buildLogger(*accessLog, *logLevel, *logFormat)
-	if err != nil {
-		return err
-	}
-	srv, err := server.New(server.Config{
+	cfg := server.Config{
 		Workers:        *workers,
 		CacheSize:      *cacheSize,
 		MaxRows:        *maxRows,
 		MaxCols:        *maxCols,
-		MaxBodyBytes:   *maxBody,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		ShutdownGrace:  *grace,
-		Log:            logger,
-		SlowThreshold:  *slowThreshold,
-		DataDir:        *dataDir,
-		MaxQueuedJobs:  *maxJobs,
-		JobRetention:   *jobRetention,
-		JobWorkers:     *jobWorkers,
-	})
+	}
+	debugAddr, err := frontFlags(&cfg)
+	if err != nil {
+		return err
+	}
+	srv, err := server.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -102,9 +76,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *debugAddr != "" {
+	if debugAddr != "" {
 		go func() {
-			if derr := debugz.ListenAndServe(ctx, *debugAddr, srv.Metrics()); derr != nil {
+			if derr := debugz.ListenAndServe(ctx, debugAddr, srv.Metrics()); derr != nil {
 				fmt.Fprintln(os.Stderr, "dpfilld: debug listener:", derr)
 			}
 		}()
@@ -116,21 +90,4 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "dpfilld: shut down cleanly")
 	}
 	return err
-}
-
-// buildLogger resolves the logging flags into a structured stderr
-// logger, nil when -access-log is off (logging disabled).
-func buildLogger(enabled bool, level, format string) (*logx.Logger, error) {
-	if !enabled {
-		return nil, nil
-	}
-	lv, err := logx.ParseLevel(level)
-	if err != nil {
-		return nil, err
-	}
-	fm, err := logx.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	return logx.New(os.Stderr, logx.Options{Level: lv, Format: fm}), nil
 }

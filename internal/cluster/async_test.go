@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/jobs"
+	"repro/internal/server"
 )
 
 // TestAsyncJobParityThroughCoordinator pins the fleet half of the
@@ -69,7 +70,7 @@ func TestCoordinatorJobJournalSurvivesRestart(t *testing.T) {
 	req := randomBatch(4)
 	want := localExpected(t, req)
 
-	co1 := newTestCoordinator(t, Config{DataDir: dir}, w)
+	co1 := newTestCoordinator(t, Config{Local: server.Config{DataDir: dir}}, w)
 	waitHealthy(t, co1, 1)
 	c1 := coordClient(t, co1)
 	st, err := c1.SubmitJob(context.Background(), req)
@@ -84,7 +85,7 @@ func TestCoordinatorJobJournalSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	co2 := newTestCoordinator(t, Config{DataDir: dir}, w)
+	co2 := newTestCoordinator(t, Config{Local: server.Config{DataDir: dir}}, w)
 	waitHealthy(t, co2, 1)
 	c2 := coordClient(t, co2)
 	replayed, err := c2.Job(context.Background(), st.ID)
@@ -144,7 +145,7 @@ func TestReplayedJobWaitsForFleetAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	co := newTestCoordinator(t, Config{DataDir: dir, DisableFallback: true}, w)
+	co := newTestCoordinator(t, Config{Local: server.Config{DataDir: dir}, DisableFallback: true}, w)
 	c := coordClient(t, co)
 	final, err := c.WaitJob(context.Background(), st.ID, 5*time.Millisecond)
 	if err != nil {
@@ -166,7 +167,7 @@ func TestReplayedJobWaitsForFleetAdmission(t *testing.T) {
 // TestAsyncJobValidationThroughCoordinator: the coordinator applies
 // the same submit validation as its synchronous batch handler.
 func TestAsyncJobValidationThroughCoordinator(t *testing.T) {
-	co := newTestCoordinator(t, Config{MaxBatchJobs: 2})
+	co := newTestCoordinator(t, Config{Local: server.Config{MaxBatchJobs: 2}})
 	c := coordClient(t, co)
 	_, err := c.SubmitJob(context.Background(), client.BatchRequest{})
 	if !isAPIStatus(err, 400) {

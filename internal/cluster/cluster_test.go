@@ -196,20 +196,7 @@ func randomBatch(jobs int) client.BatchRequest {
 // ground truth the cluster must match byte for byte.
 func localExpected(t *testing.T, req client.BatchRequest) *client.BatchResponse {
 	t.Helper()
-	srv, err := server.New(server.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	lc, err := newLocalClient(srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := lc.Batch(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
+	return server.NewLocal(server.Config{}).Batch(context.Background(), req)
 }
 
 // assertBatchParity checks the cluster answer against the local one:
@@ -496,7 +483,7 @@ func TestProtocolErrorNotRetried(t *testing.T) {
 	go co.Run(ctx)
 	waitHealthy(t, co, 1)
 
-	_, err = co.fillThrough(context.Background(), client.FillRequest{Cubes: []string{"0X"}})
+	_, err = co.Fill(context.Background(), client.FillRequest{Cubes: []string{"0X"}})
 	var proto *client.ProtocolError
 	if !errors.As(err, &proto) {
 		t.Fatalf("err = %v, want ProtocolError", err)
@@ -548,7 +535,7 @@ func TestRequestIDPropagation(t *testing.T) {
 // stats, validation and error mapping.
 func TestCoordinatorHTTPSurface(t *testing.T) {
 	a := newChaosWorker(t)
-	co := newTestCoordinator(t, Config{MaxBatchJobs: 2, MaxBodyBytes: 1 << 20}, a)
+	co := newTestCoordinator(t, Config{Local: server.Config{MaxBatchJobs: 2, MaxBodyBytes: 1 << 20}}, a)
 	waitHealthy(t, co, 1)
 	ts := httptest.NewServer(co.Handler())
 	t.Cleanup(ts.Close)
@@ -603,7 +590,9 @@ func TestCoordinatorHTTPSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var eresp errorResponse
+	var eresp struct {
+		Error string `json:"error"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&eresp); err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +665,7 @@ func TestProtocolViolationFailsShard(t *testing.T) {
 	go co.Run(ctx)
 	waitHealthy(t, co, 1)
 
-	resp := co.batchThrough(context.Background(), client.BatchRequest{
+	resp := co.Batch(context.Background(), client.BatchRequest{
 		Jobs: []client.FillRequest{{Cubes: []string{"0X"}}, {Cubes: []string{"1X"}}},
 	})
 	if resp.Failed != 2 {

@@ -1,9 +1,11 @@
 // Package cluster scales the fill service out: a Coordinator shards
 // /v1/batch workloads (and fault-shards /v1/pipeline runs) across a
-// fleet of dpfilld workers over their existing HTTP API and re-exposes
-// the same /v1/* surface, so callers are topology-agnostic — one
-// worker, a fleet, or nothing but the coordinator's own in-process
-// engine all answer identically.
+// fleet of dpfilld workers over their existing HTTP API. It serves the
+// same /v1/* surface through the same front end a worker does
+// (server.Front, with its decoding, limits, error mapping, slow
+// capture and async job API), with the fleet dispatch as its backend,
+// so callers are topology-agnostic — one worker, a fleet, or nothing
+// but the coordinator's own in-process engine all answer identically.
 //
 // The moving parts:
 //
@@ -15,9 +17,10 @@
 //   - batch sharding with per-shard failover to a different worker,
 //     optional hedged requests for stragglers, and partial-failure
 //     aggregation that preserves submission order;
-//   - a local in-process engine fallback when the fleet is empty, so a
-//     coordinator with zero workers degrades to a single node instead
-//     of an outage.
+//   - a local engine fallback (server.Local) when the fleet is empty,
+//     so a coordinator with zero workers degrades to a single node
+//     instead of an outage. The fallback is a direct in-process call,
+//     with no HTTP or JSON round trip.
 //
 // Determinism contract: because every fill algorithm is deterministic,
 // a batch answered by any mix of workers, hedges and fallbacks is
@@ -36,8 +39,8 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/jobs"
-	"repro/internal/logx"
 	prom "repro/internal/metrics"
+	"repro/internal/pipeline"
 	"repro/internal/reqid"
 	"repro/internal/server"
 )
@@ -75,43 +78,13 @@ type Config struct {
 	// rendezvous-hash target. An ops escape hatch for when sticky
 	// routing concentrates pathological load.
 	DisableAffinity bool
-	// Local configures the in-process fallback service (engine
-	// workers, shape limits). Ignored when DisableFallback is set.
+	// Local is the coordinator's serving config: its front-end settings
+	// (body and batch limits, the pipeline deadline clamp, the async
+	// job queue, logging, slow capture, shutdown grace) and, unless
+	// DisableFallback is set, the in-process fallback backend's engine,
+	// cache and shape limits. Its MaxGates also bounds the circuit of a
+	// fault-sharded pipeline run.
 	Local server.Config
-	// MaxBodyBytes bounds request bodies (default 8 MiB);
-	// MaxBatchJobs bounds one batch (default 256); MaxGates bounds
-	// the resolved circuit of a sharded pipeline run (default 250000)
-	// — the same guards dpfilld itself applies.
-	MaxBodyBytes int64
-	MaxBatchJobs int
-	MaxGates     int
-	// ShutdownGrace bounds how long Serve waits for in-flight
-	// requests after its context is cancelled (default 5s). Size it
-	// above the longest legitimate batch when rolling restarts must
-	// not truncate callers.
-	ShutdownGrace time.Duration
-	// DataDir, when set, persists the coordinator's async job queue
-	// (/v1/jobs) to a write-ahead log there: accepted jobs survive a
-	// coordinator restart and re-shard across whatever fleet is alive
-	// then. Empty keeps the async API in memory only.
-	DataDir string
-	// MaxQueuedJobs bounds async jobs accepted but not yet settled;
-	// submits past it answer 429 (default 256).
-	MaxQueuedJobs int
-	// JobRetention bounds how many settled async jobs stay queryable
-	// (default 256).
-	JobRetention int
-	// JobWorkers is how many async jobs dispatch concurrently
-	// (default 1; each job's batch already fans out across the fleet).
-	JobWorkers int
-	// Log, when non-nil, receives structured access-log and
-	// dispatch-event records tagged with each request's X-Request-ID.
-	Log *logx.Logger
-	// SlowThreshold is the latency SLO: requests over it are counted as
-	// SLO breaches and their trace + per-shard dispatch breakdown land
-	// in the /stats slow_requests ring. 0 means the default 1s;
-	// negative disables slow capture and the SLO families.
-	SlowThreshold time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -124,43 +97,26 @@ func (c Config) withDefaults() Config {
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 3 * time.Minute
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxBatchJobs <= 0 {
-		c.MaxBatchJobs = 256
-	}
-	if c.MaxGates <= 0 {
-		c.MaxGates = 250000
-	}
-	if c.ShutdownGrace <= 0 {
-		c.ShutdownGrace = 5 * time.Second
-	}
-	if c.SlowThreshold == 0 {
-		c.SlowThreshold = time.Second
-	}
+	c.Local = c.Local.WithDefaults()
 	return c
 }
 
 // Coordinator shards fill workloads across a dpfilld fleet behind the
-// same /v1/* API the workers themselves serve. Construct with New;
-// run heartbeats with Run or Serve; stop the async job workers with
-// Close when the Coordinator is discarded without going through Serve.
+// same /v1/* API the workers themselves serve: it is the shared HTTP
+// front end (server.Front) over the fleet dispatch backend. Construct
+// with New; run heartbeats with Run or Serve; stop the async job
+// workers with Close when the Coordinator is discarded without going
+// through Serve.
 type Coordinator struct {
+	*server.Front
 	cfg          Config
 	reg          *registry
-	local        *client.Client // in-process fallback; nil when disabled
-	localSrv     *server.Server // backing service of local; nil when disabled
-	jobs         *jobs.Manager
+	local        *server.Local // in-process fallback; nil when disabled
 	jobsGate     chan struct{} // closed after Run's first heartbeat sweep
 	jobsOnce     sync.Once     // concurrent Run calls close the gate once
 	met          *metrics
 	shardLog     shardRing
 	shardLatency *prom.Histogram
-	mux          *http.ServeMux
-	prom         *prom.Registry
-	slow         *server.SlowRing
-	slo          *prom.SLO
 }
 
 // New builds a Coordinator over the configured fleet. Workers start
@@ -180,70 +136,37 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	co := &Coordinator{cfg: cfg, reg: reg, met: newMetrics()}
+	co := &Coordinator{cfg: cfg, reg: reg, met: newMetrics(), jobsGate: make(chan struct{})}
 	if !cfg.DisableFallback {
-		co.localSrv, err = server.New(cfg.Local)
-		if err != nil {
-			return nil, err
-		}
-		co.local, err = newLocalClient(co.localSrv)
-		if err != nil {
-			co.localSrv.Close()
-			return nil, err
-		}
+		co.local = server.NewLocal(cfg.Local)
 	}
-	// The coordinator's async jobs run through batchThrough, so a job
-	// shards across the fleet exactly like a synchronous batch — and a
-	// journaled job replayed after a restart re-shards across whatever
-	// fleet is alive at replay time. The Start gate holds the job
-	// workers until Run's first heartbeat sweep has admitted the
-	// fleet: without it a replayed job would dispatch against zero
-	// healthy workers and mis-route to the local fallback (or fail).
-	co.jobsGate = make(chan struct{})
-	// dpvet:ignore registryorder safe: jobsGate holds co.runJob until Run()'s first heartbeat sweep, and newProm reads co.jobs.WALAppends so the order cannot flip
-	co.jobs, err = jobs.Open(jobs.Config{
-		Runner:    co.runJob,
-		Dir:       cfg.DataDir,
-		MaxQueued: cfg.MaxQueuedJobs,
-		Retention: cfg.JobRetention,
-		Workers:   cfg.JobWorkers,
-		Start:     co.jobsGate,
-		Log:       cfg.Log,
+	// The coordinator's async jobs run through its Batch and Pipeline,
+	// so a job shards across the fleet exactly like a synchronous
+	// request — and a journaled job replayed after a restart re-shards
+	// across whatever fleet is alive at replay time. The JobsStart gate
+	// holds the job workers until Run's first heartbeat sweep has
+	// admitted the fleet: without it a replayed job would dispatch
+	// against zero healthy workers and mis-route to the local fallback
+	// (or fail).
+	co.Front, err = server.NewFront(cfg.Local, server.Tier{
+		Backend:  co,
+		Prefix:   "dpfill_coord",
+		Register: co.register,
+		Health: func() any {
+			return map[string]any{
+				"status":          "ok",
+				"workers_total":   len(co.reg.workers),
+				"workers_healthy": co.reg.healthyCount(),
+			}
+		},
+		Stats:     func() any { return co.Stats() },
+		Run:       co.Run,
+		JobsStart: co.jobsGate,
 	})
 	if err != nil {
-		if co.localSrv != nil {
-			co.localSrv.Close()
-		}
 		return nil, err
 	}
-	if cfg.SlowThreshold > 0 {
-		co.slow = server.NewSlowRing(0)
-		co.slo = prom.NewSLO(cfg.SlowThreshold, 0)
-	}
-	co.prom = co.newProm()
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/fill", co.handleFill)
-	mux.HandleFunc("POST /v1/batch", co.handleBatch)
-	mux.HandleFunc("POST /v1/grid", co.handleGrid)
-	mux.HandleFunc("POST /v1/pipeline", co.handlePipeline)
-	mux.HandleFunc("GET /healthz", co.handleHealthz)
-	mux.HandleFunc("GET /stats", co.handleStats)
-	mux.Handle("GET /metrics", co.prom.Handler())
-	jobs.Mount(mux, co.jobs, co.decodeJobSubmit)
-	co.mux = mux
 	return co, nil
-}
-
-// Close stops the async job workers (journaled jobs resume on the
-// next New over the same DataDir) and the local fallback service.
-func (co *Coordinator) Close() error {
-	err := co.jobs.Close()
-	if co.localSrv != nil {
-		if serr := co.localSrv.Close(); err == nil {
-			err = serr
-		}
-	}
-	return err
 }
 
 // Run drives the registry's heartbeat loop until ctx is cancelled.
@@ -453,34 +376,55 @@ func affinityKey(v any) uint64 {
 	return h
 }
 
-// fillThrough answers one fill request: fleet first, local fallback
-// when the fleet can't.
-func (co *Coordinator) fillThrough(ctx context.Context, req client.FillRequest) (*client.FillResponse, error) {
-	co.met.jobs.Add(1)
-	resp, _, err := dispatch(co, ctx, 1, affinityKey(req), func(ctx context.Context, c *client.Client) (*client.FillResponse, error) {
-		return c.Fill(ctx, req)
-	})
-	if err != nil && co.fallbackEligible(ctx, err) {
-		co.met.fallbacks.Add(1)
-		return co.local.Fill(ctx, req)
-	}
-	return resp, err
+// Fill answers one fill request: fleet first, local fallback when the
+// fleet can't.
+func (co *Coordinator) Fill(ctx context.Context, req client.FillRequest) (*client.FillResponse, error) {
+	return through(co, ctx, 1, req, (*client.Client).Fill, (*server.Local).Fill)
 }
 
-// gridThrough proxies one grid request to a single worker, with the
-// same failover and fallback as fills.
-func (co *Coordinator) gridThrough(ctx context.Context, req client.GridRequest) (*client.GridResponse, error) {
-	co.met.jobs.Add(1)
+// Grid proxies one grid request to a single worker, with the same
+// failover and fallback as fills.
+func (co *Coordinator) Grid(ctx context.Context, req client.GridRequest) (*client.GridResponse, error) {
 	// A grid fans one set across every paper filler; weight it as such.
 	const gridWeight = 8
-	resp, _, err := dispatch(co, ctx, gridWeight, affinityKey(req), func(ctx context.Context, c *client.Client) (*client.GridResponse, error) {
-		return c.Grid(ctx, req)
+	return through(co, ctx, gridWeight, req, (*client.Client).Grid, (*server.Local).Grid)
+}
+
+// through answers one whole request on one worker — affinity target
+// first, failover after — or, when the fleet can't, on the local
+// backend by a direct call.
+func through[Req, Resp any](co *Coordinator, ctx context.Context, weight int, req Req,
+	remote func(*client.Client, context.Context, Req) (*Resp, error),
+	local func(*server.Local, context.Context, Req) (*Resp, error)) (*Resp, error) {
+	co.met.jobs.Add(1)
+	resp, _, err := dispatch(co, ctx, weight, affinityKey(req), func(ctx context.Context, c *client.Client) (*Resp, error) {
+		return remote(c, ctx, req)
 	})
 	if err != nil && co.fallbackEligible(ctx, err) {
 		co.met.fallbacks.Add(1)
-		return co.local.Grid(ctx, req)
+		return local(co.local, ctx, req)
 	}
-	return resp, err
+	return resp, fleetErr(err)
+}
+
+// fleetErr classifies a fleet dispatch failure for the front end's
+// error mapping: a worker's error answer passes through with its own
+// status and message, an empty fleet is 503, and any other transport
+// or protocol failure 502. Validation failures and deadline or
+// cancellation errors keep their own mapping.
+func fleetErr(err error) error {
+	var api *client.APIError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &api):
+		return &server.StatusError{Status: api.Status, Message: api.Message, Err: err}
+	case errors.Is(err, pipeline.ErrBadRequest), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return err
+	case errors.Is(err, errNoWorkers):
+		return &server.StatusError{Status: http.StatusServiceUnavailable, Err: err}
+	}
+	return &server.StatusError{Status: http.StatusBadGateway, Err: err}
 }
 
 // fallbackEligible reports whether a dispatch failure should be
@@ -498,10 +442,10 @@ func (co *Coordinator) fallbackEligible(ctx context.Context, err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// batchThrough shards a batch across the fleet and aggregates the
+// Batch shards a batch across the fleet and aggregates the
 // results in submission order. Shard failures surface as per-item
 // errors; every other shard still answers.
-func (co *Coordinator) batchThrough(ctx context.Context, req client.BatchRequest) *client.BatchResponse {
+func (co *Coordinator) Batch(ctx context.Context, req client.BatchRequest) *client.BatchResponse {
 	n := len(req.Jobs)
 	items := make([]client.BatchItem, n)
 	// When the batch runs as an async job, each finished shard advances
@@ -565,13 +509,13 @@ func (co *Coordinator) runShard(ctx context.Context, debug bool, jobs []client.F
 	if err != nil && co.fallbackEligible(ctx, err) {
 		co.met.fallbacks.Add(1)
 		tr.FellBack, tr.Worker = true, ""
-		resp, err = co.local.Batch(ctx, sub)
+		resp, err = co.local.Batch(ctx, sub), nil
 	}
 	tr.DispatchNS = time.Since(start).Nanoseconds()
 	co.shardLatency.Observe(time.Duration(tr.DispatchNS))
 	if err != nil {
 		co.met.shardFailures.Add(1)
-		co.cfg.Log.Error("shard dispatch failed",
+		co.cfg.Local.Log.Error("shard dispatch failed",
 			"jobs", len(jobs), "rid", reqid.From(ctx), "err", err)
 		msg := fmt.Sprintf("cluster: shard dispatch failed: %v", err)
 		for i := range out {

@@ -221,7 +221,7 @@ func TestTraceCorrelatesAcrossHops(t *testing.T) {
 	co, err := New(Config{
 		Workers:  []string{wts.URL},
 		Registry: RegistryConfig{HeartbeatInterval: 25 * time.Millisecond, HeartbeatTimeout: 500 * time.Millisecond},
-		Log:      logx.New(&cbuf, logx.Options{NoTime: true}),
+		Local:    server.Config{Log: logx.New(&cbuf, logx.Options{NoTime: true})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -365,5 +365,29 @@ func TestCoordinatorMetricsEndpoint(t *testing.T) {
 	}
 	if strings.Contains(body, "dpfill_coord_heartbeat_rtt_seconds_count 0\n") {
 		t.Fatal("heartbeat RTT histogram never observed a sweep")
+	}
+}
+
+// TestFallbackSlowCaptureCarriesExplain: the fallback is a direct call
+// in the coordinator's own request context, so a fallback-answered DP
+// fill that breaches the SLO lands in the coordinator's /stats
+// slow_requests with the fill-core explain trace attached.
+func TestFallbackSlowCaptureCarriesExplain(t *testing.T) {
+	co := newTestCoordinator(t, Config{Local: server.Config{SlowThreshold: time.Nanosecond}})
+	c := coordClient(t, co)
+	if _, err := c.Fill(context.Background(), client.FillRequest{Cubes: []string{"0XX1", "X10X", "1XX0"}}); err != nil {
+		t.Fatal(err)
+	}
+	// The capture lands just after the response is written.
+	st := co.Stats()
+	for deadline := time.Now().Add(2 * time.Second); len(st.SlowRequests) == 0 && time.Now().Before(deadline); st = co.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	if st.Fallbacks != 1 || len(st.SlowRequests) != 1 {
+		t.Fatalf("%d fallbacks, %d slow requests, want 1 and 1", st.Fallbacks, len(st.SlowRequests))
+	}
+	sr := st.SlowRequests[0]
+	if sr.Path != "/v1/fill" || sr.Explain == nil || sr.Explain.TotalNS <= 0 {
+		t.Fatalf("fallback capture %s carries explain %+v, want the fill's trace", sr.Path, sr.Explain)
 	}
 }

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,38 +24,19 @@ import (
 // own merged set, the fleet answer is byte-identical to the
 // single-process answer up to stage timings.
 
-func (co *Coordinator) handlePipeline(w http.ResponseWriter, r *http.Request) {
-	var req client.PipelineRequest
-	if !co.decode(w, r, &req) {
-		return
-	}
-	rep, err := co.pipelineThrough(r.Context(), req)
-	if err != nil {
-		co.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-// pipelineThrough answers one pipeline request: unsharded runs (and
+// Pipeline answers one pipeline request: unsharded runs (and
 // explicit stage=atpg shard calls) proxy whole to one worker;
 // fault-sharded runs fan out across the fleet.
-func (co *Coordinator) pipelineThrough(ctx context.Context, req client.PipelineRequest) (*client.PipelineReport, error) {
+func (co *Coordinator) Pipeline(ctx context.Context, req client.PipelineRequest) (*client.PipelineReport, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	co.met.jobs.Add(1)
 	if req.Stage == pipeline.StageATPG || req.Shards() <= 1 {
-		resp, _, err := dispatch(co, ctx, 1, affinityKey(req), func(ctx context.Context, c *client.Client) (*client.PipelineReport, error) {
-			return c.Pipeline(ctx, req)
-		})
-		if err != nil && co.fallbackEligible(ctx, err) {
-			co.met.fallbacks.Add(1)
-			return co.local.Pipeline(ctx, req)
-		}
-		return resp, err
+		return through(co, ctx, 1, req, (*client.Client).Pipeline, (*server.Local).Pipeline)
 	}
-	return co.pipelineSharded(ctx, req)
+	co.met.jobs.Add(1)
+	rep, err := co.pipelineSharded(ctx, req)
+	return rep, fleetErr(err)
 }
 
 // pipelineSharded fans the K ATPG fault shards across the fleet and
@@ -70,9 +49,9 @@ func (co *Coordinator) pipelineSharded(ctx context.Context, req client.PipelineR
 	if err != nil {
 		return nil, err
 	}
-	if co.cfg.MaxGates > 0 && len(c.Gates) > co.cfg.MaxGates {
+	if len(c.Gates) > co.cfg.Local.MaxGates {
 		return nil, fmt.Errorf("%w: circuit %q has %d gates, exceeding the limit %d",
-			pipeline.ErrBadRequest, c.Name, len(c.Gates), co.cfg.MaxGates)
+			pipeline.ErrBadRequest, c.Name, len(c.Gates), co.cfg.Local.MaxGates)
 	}
 	stages := []pipeline.StageTiming{{
 		Stage:          "netlist",
@@ -116,7 +95,7 @@ func (co *Coordinator) pipelineSharded(ctx context.Context, req client.PipelineR
 	co.shardLog.record(traces)
 	for _, err := range errs {
 		if err != nil {
-			co.cfg.Log.Error("pipeline shard failed",
+			co.cfg.Local.Log.Error("pipeline shard failed",
 				"rid", reqid.From(ctx), "err", err)
 			return nil, err
 		}
@@ -160,35 +139,4 @@ func (co *Coordinator) dispatchPipelineShard(ctx context.Context, sreq client.Pi
 		co.met.shardFailures.Add(1)
 	}
 	return rep, tr, err
-}
-
-// pipelineEnvelope is the journaled payload of an async pipeline job
-// — the same {"pipeline": ...} framing dpfilld itself journals, so
-// the two WAL formats stay interchangeable.
-type pipelineEnvelope struct {
-	Pipeline *client.PipelineRequest `json:"pipeline"`
-}
-
-// pipelinePayload probes a journaled payload for the pipeline
-// envelope; batch payloads decode with a nil Pipeline.
-func pipelinePayload(payload json.RawMessage) (client.PipelineRequest, bool) {
-	var env pipelineEnvelope
-	if err := json.Unmarshal(payload, &env); err != nil || env.Pipeline == nil {
-		return client.PipelineRequest{}, false
-	}
-	return *env.Pipeline, true
-}
-
-// runJob is the coordinator's async job runner: a journaled pipeline
-// envelope fans out through pipelineThrough (re-sharding across
-// whatever fleet is alive at replay time), anything else is a batch.
-func (co *Coordinator) runJob(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
-	if preq, ok := pipelinePayload(payload); ok {
-		rep, err := co.pipelineThrough(ctx, preq)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(rep)
-	}
-	return jobs.RunJSON(co.batchThrough)(ctx, payload)
 }

@@ -3,11 +3,15 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/pipeline"
+	"repro/internal/server"
 )
 
 // localPipeline answers the request in-process — the ground truth
@@ -175,7 +179,7 @@ func TestAsyncPipelineParityThroughCoordinator(t *testing.T) {
 // bad pipelines itself (400, not a wasted fleet dispatch), for both
 // the sync endpoint and the job submit.
 func TestPipelineValidationThroughCoordinator(t *testing.T) {
-	co := newTestCoordinator(t, Config{MaxGates: 50})
+	co := newTestCoordinator(t, Config{Local: server.Config{MaxGates: 50}})
 	c := coordClient(t, co)
 
 	// Synchronous: both structural failures and run-time resolution
@@ -199,5 +203,54 @@ func TestPipelineValidationThroughCoordinator(t *testing.T) {
 		if _, err := c.SubmitPipelineJob(context.Background(), req); !isAPIStatus(err, 400) {
 			t.Errorf("%s (async): %v, want 400", name, err)
 		}
+	}
+}
+
+// TestPipelineShardedHonorsTimeout: a fault-sharded pipeline through
+// the coordinator runs under the request's timeout_ms, like a worker's
+// run does. The fleet's one worker answers each shard correctly but
+// only after the deadline has passed, so the synchronous call answers
+// 504 and the async job fails instead of waiting the shards out.
+func TestPipelineShardedHonorsTimeout(t *testing.T) {
+	srv, err := server.New(server.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	const delay = 400 * time.Millisecond
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/pipeline" {
+			select {
+			case <-time.After(delay):
+			case <-r.Context().Done():
+				return
+			}
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(slow.Close)
+	co := newTestCoordinator(t, Config{Workers: []string{slow.URL}, DisableFallback: true})
+	waitHealthy(t, co, 1)
+	c := coordClient(t, co)
+
+	req := client.PipelineRequest{Spec: "b01", ATPG: pipeline.ATPGConfig{Shards: 2}, TimeoutMillis: 50}
+	start := time.Now()
+	if _, err := c.Pipeline(context.Background(), req); !isAPIStatus(err, http.StatusGatewayTimeout) {
+		t.Fatalf("sharded pipeline past timeout_ms: %v, want 504", err)
+	}
+	if took := time.Since(start); took >= delay {
+		t.Fatalf("the 504 took %v: the shards were waited out", took)
+	}
+
+	st, err := c.SubmitPipelineJob(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.WaitJob(context.Background(), st.ID, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != "failed" || !strings.Contains(final.Error, "deadline") {
+		t.Fatalf("async sharded pipeline past timeout_ms ended %s (%q), want failed on its deadline", final.State, final.Error)
 	}
 }

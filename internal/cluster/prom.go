@@ -6,13 +6,12 @@ import (
 	prom "repro/internal/metrics"
 )
 
-// newProm builds the coordinator's Prometheus registry. Dispatch
+// register adds the coordinator tier's own families. Dispatch
 // counters read at scrape time from the atomics the coordinator
 // already keeps for /stats; the two eagerly-fed series — shard latency
 // and heartbeat round-trip histograms — observe with atomics only, so
 // the dispatch hot path gains no locks.
-func (co *Coordinator) newProm() *prom.Registry {
-	r := prom.NewRegistry()
+func (co *Coordinator) register(r *prom.Registry) {
 	m := co.met
 	r.CounterFunc("dpfill_coord_jobs_total",
 		"Jobs accepted for dispatch: batch items, single fills, grids.", m.jobs.Load)
@@ -54,20 +53,4 @@ func (co *Coordinator) newProm() *prom.Registry {
 	hb := r.Histogram("dpfill_coord_heartbeat_rtt_seconds",
 		"Per-worker heartbeat round-trip time.", prom.RTTBuckets)
 	co.reg.onHeartbeat = func(rtt time.Duration, _ bool) { hb.Observe(rtt) }
-	r.GaugeFunc("dpfill_coord_async_jobs_active",
-		"Async jobs queued or running.",
-		func() float64 { active, _ := co.jobs.Occupancy(); return float64(active) })
-	r.GaugeFunc("dpfill_coord_async_jobs_retained",
-		"Settled async jobs still queryable.",
-		func() float64 { _, retained := co.jobs.Occupancy(); return float64(retained) })
-	r.CounterFunc("dpfill_coord_wal_records_total",
-		"Records appended to the async job journal.", co.jobs.WALAppends)
-	r.GaugeFunc("dpfill_coord_wal_journal_bytes",
-		"Async job journal size on disk.",
-		func() float64 { return float64(co.jobs.JournalBytes()) })
-	if co.slo != nil {
-		co.slo.Register(r, "dpfill_coord")
-	}
-	prom.RegisterRuntime(r)
-	return r
 }

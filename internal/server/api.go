@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/cube"
@@ -177,7 +176,7 @@ func badRequestf(format string, args ...any) error {
 
 // parseSet validates and parses a request's payload against the
 // configured shape limits. Exactly one of cubes/stil must be present.
-func (s *Server) parseSet(cubes []string, stil string) (*cube.Set, error) {
+func (l *Local) parseSet(cubes []string, stil string) (*cube.Set, error) {
 	switch {
 	case len(cubes) > 0 && stil != "":
 		return nil, badRequestf("request carries both cubes and stil; send one")
@@ -186,8 +185,8 @@ func (s *Server) parseSet(cubes []string, stil string) (*cube.Set, error) {
 	}
 	var set *cube.Set
 	if len(cubes) > 0 {
-		if len(cubes) > s.cfg.MaxRows {
-			return nil, badRequestf("%d cubes exceed the row limit %d", len(cubes), s.cfg.MaxRows)
+		if len(cubes) > l.cfg.MaxRows {
+			return nil, badRequestf("%d cubes exceed the row limit %d", len(cubes), l.cfg.MaxRows)
 		}
 		parsed, err := cube.ParseSet(cubes...)
 		if err != nil {
@@ -201,24 +200,11 @@ func (s *Server) parseSet(cubes []string, stil string) (*cube.Set, error) {
 		}
 		set = parsed
 	}
-	if set.Len() > s.cfg.MaxRows {
-		return nil, badRequestf("%d cubes exceed the row limit %d", set.Len(), s.cfg.MaxRows)
+	if set.Len() > l.cfg.MaxRows {
+		return nil, badRequestf("%d cubes exceed the row limit %d", set.Len(), l.cfg.MaxRows)
 	}
-	if set.Width > s.cfg.MaxCols {
-		return nil, badRequestf("cube width %d exceeds the column limit %d", set.Width, s.cfg.MaxCols)
+	if set.Width > l.cfg.MaxCols {
+		return nil, badRequestf("cube width %d exceeds the column limit %d", set.Width, l.cfg.MaxCols)
 	}
 	return set, nil
-}
-
-// clampTimeout resolves a request's timeout_ms against the server's
-// default and ceiling.
-func (s *Server) clampTimeout(millis int64) time.Duration {
-	d := time.Duration(millis) * time.Millisecond
-	if d <= 0 {
-		d = s.cfg.DefaultTimeout
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d
 }

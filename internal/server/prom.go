@@ -9,15 +9,13 @@ import (
 // trace order (see core.Trace.StageNS).
 var fillStages = []string{"pack", "scan", "bound", "assign", "reconstruct", "unpack", "other"}
 
-// newProm builds the worker's Prometheus registry. Counters and gauges
-// read at scrape time from the state the service already maintains —
-// the mutex-guarded /stats accounting, the engine's occupancy, the job
-// journal — so serving hot paths gain no new synchronization; the one
-// eagerly-fed series is the fill-latency histogram, whose Observe is
-// atomic-only.
-func (s *Server) newProm() *prom.Registry {
-	r := prom.NewRegistry()
-	m := s.met
+// register adds the worker tier's own families. Counters and gauges
+// read at scrape time from the state the backend already maintains —
+// the mutex-guarded /stats accounting, the engine's occupancy — so
+// serving hot paths gain no new synchronization; the eagerly-fed
+// series are histograms, whose Observe is atomic-only.
+func (l *Local) register(r *prom.Registry) {
+	m := l.met
 	r.CounterFunc("dpfill_jobs_total",
 		"Fill jobs answered, cache hits included.", m.jobsTotal)
 	r.CounterFunc("dpfill_errors_total",
@@ -28,16 +26,16 @@ func (s *Server) newProm() *prom.Registry {
 		"Result-cache lookups that ran the engine.", m.cacheMissesTotal)
 	r.GaugeFunc("dpfill_cache_entries",
 		"Current result-cache LRU entry count.",
-		func() float64 { return float64(s.cache.Len()) })
+		func() float64 { return float64(l.cache.Len()) })
 	r.GaugeFunc("dpfill_queue_depth",
 		"Engine jobs accepted but waiting for a worker slot.",
-		func() float64 { q, _ := s.eng.Load(); return float64(q) })
+		func() float64 { q, _ := l.eng.Load(); return float64(q) })
 	r.GaugeFunc("dpfill_inflight",
 		"Engine jobs executing right now.",
-		func() float64 { _, f := s.eng.Load(); return float64(f) })
+		func() float64 { _, f := l.eng.Load(); return float64(f) })
 	r.GaugeFunc("dpfill_engine_workers",
 		"Machine-wide engine worker bound.",
-		func() float64 { return float64(s.eng.Workers) })
+		func() float64 { return float64(l.eng.Workers) })
 	m.fillLatency = r.Histogram("dpfill_fill_latency_seconds",
 		"Per-job wall-clock latency, cache hits included.", prom.DefBuckets)
 	r.CounterFunc("dpfill_pipeline_runs_total",
@@ -54,21 +52,6 @@ func (s *Server) newProm() *prom.Registry {
 			"Per-stage pipeline latency.", prom.DefBuckets,
 			prom.Label{Name: "stage", Value: stage})
 	}
-	// The job-manager closures read s.jobs lazily: the registry is
-	// built before jobs.Open so journal replay can't race histogram
-	// wiring, and no scrape can arrive before New returns.
-	r.GaugeFunc("dpfill_async_jobs_active",
-		"Async jobs queued or running.",
-		func() float64 { active, _ := s.jobs.Occupancy(); return float64(active) })
-	r.GaugeFunc("dpfill_async_jobs_retained",
-		"Settled async jobs still queryable.",
-		func() float64 { _, retained := s.jobs.Occupancy(); return float64(retained) })
-	r.CounterFunc("dpfill_wal_records_total",
-		"Records appended to the async job journal.",
-		func() uint64 { return s.jobs.WALAppends() })
-	r.GaugeFunc("dpfill_wal_journal_bytes",
-		"Async job journal size on disk.",
-		func() float64 { return float64(s.jobs.JournalBytes()) })
 	// One labelled series per fill-core trace stage: every DP fill is
 	// traced server-side, so these aggregate the explain breakdown
 	// whether or not any request asked for debug output.
@@ -84,8 +67,32 @@ func (s *Server) newProm() *prom.Registry {
 	r.CounterFunc("dpfill_go_arena_misses_total",
 		"Fill-core arena pool gets that allocated a fresh arena.",
 		func() uint64 { _, misses := core.PoolStats(); return misses })
-	if s.slo != nil {
-		s.slo.Register(r, "dpfill")
+}
+
+// newProm builds the tier's registry: the tier's own families, then
+// the ones every front end shares under the tier's prefix — async
+// jobs, the job journal, the SLO — and the Go runtime's. The
+// job-manager closures read f.jobs lazily: the registry is built
+// before jobs.Open so journal replay can't race histogram wiring, and
+// no scrape can arrive before NewFront returns.
+func (f *Front) newProm() *prom.Registry {
+	r := prom.NewRegistry()
+	f.tier.Register(r)
+	p := f.tier.Prefix
+	r.GaugeFunc(p+"_async_jobs_active",
+		"Async jobs queued or running.",
+		func() float64 { active, _ := f.jobs.Occupancy(); return float64(active) })
+	r.GaugeFunc(p+"_async_jobs_retained",
+		"Settled async jobs still queryable.",
+		func() float64 { _, retained := f.jobs.Occupancy(); return float64(retained) })
+	r.CounterFunc(p+"_wal_records_total",
+		"Records appended to the async job journal.",
+		func() uint64 { return f.jobs.WALAppends() })
+	r.GaugeFunc(p+"_wal_journal_bytes",
+		"Async job journal size on disk.",
+		func() float64 { return float64(f.jobs.JournalBytes()) })
+	if f.slo != nil {
+		f.slo.Register(r, p)
 	}
 	prom.RegisterRuntime(r)
 	return r
