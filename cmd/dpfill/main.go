@@ -270,16 +270,16 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// printExplain renders a fill-core explain trace: input shape, BCP
-// prune counters, the per-stage wall-time breakdown (which sums to the
+// printExplain renders a fill-core explain trace: input shape, the BCP
+// bound's probe count, the per-stage wall-time breakdown (which sums to the
 // total by construction) and, for windowed fills, one line per window.
 func printExplain(w io.Writer, tr *core.Trace) {
 	fmt.Fprintf(w, "explain: %d pins x %d vectors, shards=%d, arena_reused=%v\n",
 		tr.Rows, tr.Cols, tr.Shards, tr.ArenaReused)
 	fmt.Fprintf(w, "  bcp: intervals=%d forced_unit=%d peak=%d lower_bound=%d\n",
 		tr.Intervals, tr.ForcedUnit, tr.Peak, tr.LowerBound)
-	fmt.Fprintf(w, "  bcp sweep: starts scanned=%d pruned=%d, windows scanned=%d, suffix breaks=%d\n",
-		tr.BCP.StartsScanned, tr.BCP.StartsSkipped, tr.BCP.WindowsScanned, tr.BCP.SuffixBreaks)
+	fmt.Fprintf(w, "  bcp bound: probes=%d (count-only EDF runs; the bound carries a checked witness window)\n",
+		tr.BCP.Probes)
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintf(tw, "  stage\tms\tshare\t\n")
 	for _, st := range tr.StageNS() {

@@ -9,45 +9,51 @@
 // consecutive test vectors) and each interval is a row stretch that must
 // place exactly one toggle.
 //
-// The package provides the paper's two algorithms — the dynamic-
-// programming lower bound (Algorithm 1) and the earliest-deadline greedy
-// assignment (Algorithm 2) — plus an exhaustive solver used to verify
-// optimality in tests. Colors are 0-based: an instance with NumColors = C
-// uses colors 0..C-1.
+// The package provides the paper's lower bound and its earliest-
+// deadline greedy assignment (Algorithm 2), plus an exhaustive solver
+// used to verify optimality in tests. The paper computes the bound with
+// Algorithm 1, a maximization over every color window; by its
+// optimality theorem (§VI-C) that number is also the smallest capacity
+// at which Algorithm 2 places every interval, and that is how Bound
+// finds it: a few linear count-only runs of Algorithm 2. Each bound
+// comes with a witness window that proves it the Algorithm 1 way.
+// Colors are 0-based: an instance with NumColors = C uses colors
+// 0..C-1.
 package bcp
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"time"
 )
 
-// Stats is the solver's explain record: how hard Algorithm 1 worked
-// and where its prunings bit, plus wall time split between the bound
-// and the assignment. A nil *Stats costs the hot path nothing; core
-// threads one through SolveStats when a fill runs with a trace sink.
-// Counters accumulate, so one Stats can aggregate several solves
-// (e.g. every window of a windowed fill).
+// Stats is the solver's explain record: how many probes the bound
+// took, plus wall time split between the bound and the assignment. A
+// nil *Stats costs the hot path nothing; core threads one through
+// SolveStats when a fill runs with a trace sink. Counters accumulate,
+// so one Stats can aggregate several solves (e.g. every window of a
+// windowed fill).
 type Stats struct {
-	// StartsScanned counts window starts the Algorithm 1 sweep
-	// evaluated; StartsSkipped counts starts pruned outright by the
-	// empty-start domination rule.
-	StartsScanned int `json:"starts_scanned"`
-	StartsSkipped int `json:"starts_skipped"`
-	// WindowsScanned counts inner bound evaluations (one per [i,j]
-	// window actually visited); SuffixBreaks counts j sweeps cut short
-	// by the suffix bound.
+	// Probes counts the count-only Algorithm 2 runs the bound took.
+	Probes int `json:"probes"`
+	// StartsScanned, StartsSkipped, WindowsScanned and SuffixBreaks
+	// were the counters of the Algorithm 1 window sweep. The bound no
+	// longer sweeps windows, so they are always 0; they stay for
+	// readers of the explain record's JSON shape.
+	StartsScanned  int `json:"starts_scanned"`
+	StartsSkipped  int `json:"starts_skipped"`
 	WindowsScanned int `json:"windows_scanned"`
 	SuffixBreaks   int `json:"suffix_breaks"`
-	// BoundNS and AssignNS split the solve's wall time between
-	// Algorithm 1 (lower bound) and Algorithm 2 (EDF assignment,
-	// including the legality check).
+	// BoundNS and AssignNS split the solve's wall time between the
+	// lower bound (probes and witness check) and Algorithm 2 (EDF
+	// assignment, including the legality check).
 	BoundNS  int64 `json:"bound_ns"`
 	AssignNS int64 `json:"assign_ns"`
 }
 
 // Add accumulates o into st.
 func (st *Stats) Add(o Stats) {
+	st.Probes += o.Probes
 	st.StartsScanned += o.StartsScanned
 	st.StartsSkipped += o.StartsSkipped
 	st.WindowsScanned += o.WindowsScanned
@@ -98,8 +104,9 @@ type Solution struct {
 	Colors []int
 	// Bottleneck is the maximum number of intervals sharing any color.
 	Bottleneck int
-	// LowerBound is the Algorithm 1 bound; by the paper's theorem it
-	// always equals Bottleneck for solutions produced by Solve.
+	// LowerBound is the witness-checked lower bound; by the paper's
+	// theorem it always equals Bottleneck for solutions produced by
+	// Solve.
 	LowerBound int
 }
 
@@ -138,167 +145,240 @@ func (inst *Instance) CheckColoring(colors []int) (int, error) {
 	return max, nil
 }
 
-// LowerBound implements Algorithm 1 of the paper: the maximum over all
-// color windows [i,j] of ceil(T(i,j)/(j-i+1)), where T(i,j) counts the
-// intervals wholly contained in the window. Any coloring must place all
-// T(i,j) such intervals on the j-i+1 colors of the window, so some color
-// receives at least the ceiling — making the result a true lower bound
-// on the bottleneck.
-//
-// The paper states the T recurrence as an O(k²) table over interval
-// endpoints; we compute the equivalent window maximization with a rolling
-// row over colors in O(C+k) memory for C colors and k intervals. Three
-// exact prunings cut the naive O(C²) window sweep down on the instances
-// DP-fill produces (lb well above 1, starts sparse in the color range):
-//
-//   - Empty starts: a window [i,j] with no interval starting at i
-//     contains the same intervals as [i+1,j] over one more color, so its
-//     bound is dominated and i is skipped outright.
-//   - Suffix break: every interval contained in [i,j] starts at or
-//     after i, so T(i,j) <= suffix(i). Once lb·(j-i+1) >= suffix(i) no
-//     wider window starting at i can beat lb, and the j sweep stops.
-//   - Fold horizon: the rolling row t[j] only needs folding out to
-//     lb·(j-i+1) < k, because lb is monotone non-decreasing, so every
-//     future read of t[j] (from a smaller i', before its own suffix
-//     break) lies strictly inside that horizon.
-//
-// Worst case stays O(C²+k); with a large bound lb the sweep per start is
-// O(k/lb). The bucket-and-row scratch comes from a sync.Pool so the
-// serving path's per-fill bound costs no steady-state allocation.
-func (inst *Instance) LowerBound() int {
-	return inst.lowerBound(nil)
+// witness is the color window [lo, hi] that proves a lower bound lb:
+// it wholly contains count intervals, more than (lb-1) per color, so
+// any coloring puts at least lb of them on one of its colors. This is
+// Algorithm 1's argument for the one window that binds.
+type witness struct {
+	lo, hi, count int
 }
 
-// lowerBound is LowerBound with an optional explain sink. Counters are
-// kept in locals through the sweep and flushed once at the end, so the
-// traced and untraced paths run the same inner loops.
-func (inst *Instance) lowerBound(st *Stats) int {
-	k := len(inst.Intervals)
-	if k == 0 {
-		return 0
-	}
-	startsScanned, startsSkipped, windows, suffixBreaks := 0, 0, 0, 0
-	c := inst.NumColors
-	sc := getLBScratch(c)
-	defer putLBScratch(sc)
-	// endsByStart[s] lists the End values of intervals starting at s,
-	// sorted ascending so a forward pointer can count "End <= j" cheaply.
-	endsByStart := sc.ends
-	for _, iv := range inst.Intervals {
-		endsByStart[iv.Start] = append(endsByStart[iv.Start], iv.End)
-	}
-	for s := range endsByStart {
-		if len(endsByStart[s]) > 1 {
-			sort.Ints(endsByStart[s])
-		}
-	}
-
-	lb := 0
-	suffix := 0 // number of intervals with Start >= i
-	// t[j] carries T(i,j) for the current window start i. Iterating i
-	// downward lets us reuse T(i+1,j) and add the intervals with
-	// Start == i and End <= j via the sorted ends pointer.
-	t := sc.t
-	for i := c - 1; i >= 0; i-- {
-		ends := endsByStart[i]
-		if len(ends) == 0 {
-			startsSkipped++
-			continue // dominated by the window starting at the next start
-		}
-		startsScanned++
-		suffix += len(ends)
-		// Evaluate windows [i,j] and fold the Start == i intervals
-		// into t in the same sweep: count = T(i,j) = T(i+1,j) + p is
-		// exactly the folded value the next (smaller) start needs, so
-		// one read-modify-write of t[j] serves both. Folding past the
-		// horizon is always sound (the horizon only licenses omitting
-		// writes); the evaluation break is the binding one since
-		// suffix(i) <= k.
-		p := 0
-		j := i
-		for ; j < c; j++ {
-			window := j - i + 1
-			if lb > 0 && lb*window >= suffix {
-				suffixBreaks++
-				break // ceil(T/window) <= ceil(suffix/window) <= lb from here on
-			}
-			windows++
-			for p < len(ends) && ends[p] <= j {
-				p++
-			}
-			count := t[j] + p // T(i,j) = T(i+1,j) + |{Start==i, End<=j}|
-			t[j] = count
-			if count > lb*window {
-				lb = (count + window - 1) / window
-			}
-		}
-		// Keep folding out to the fold horizon, which can extend past
-		// the evaluation break.
-		for ; j < c; j++ {
-			if lb*(j-i+1) >= k {
-				break
-			}
-			for p < len(ends) && ends[p] <= j {
-				p++
-			}
-			t[j] += p
-		}
-	}
-	if st != nil {
-		st.StartsScanned += startsScanned
-		st.StartsSkipped += startsSkipped
-		st.WindowsScanned += windows
-		st.SuffixBreaks += suffixBreaks
-	}
+// LowerBound returns the paper's lower bound on the bottleneck: the
+// Algorithm 1 value, the maximum over all color windows [i,j] of
+// ceil(T(i,j)/(j-i+1)) where T(i,j) counts the intervals wholly
+// contained in the window. It is Bound without the error.
+func (inst *Instance) LowerBound() int {
+	lb, _, _ := inst.bound(nil)
 	return lb
 }
 
-// endHeap is a hand-rolled min-heap of interval indices ordered by
-// interval End — the "deadline" heap of Algorithm 2. It reproduces
+// Bound computes the lower bound as the smallest capacity at which a
+// count-only Algorithm 2 places every interval, and proves it with a
+// witness window that holds more than (lb-1) intervals per color. By
+// the optimality theorem (§VI-C) the two numbers coincide, so the
+// result equals the Algorithm 1 window maximum; an error means the
+// witness failed to prove the bound, which only a bug can cause.
+//
+// Probing starts at ceil(k/C) for k intervals over C colors, whose
+// witness is the whole range [0, C-1]. While a probe fails, the
+// capacity gallops upward and then bisects below the largest number of
+// intervals sharing one start, a capacity at which Algorithm 2 never
+// has to defer an interval. Each probe costs O(C+k) plus a word-
+// parallel skip over empty deadlines. A failed probe at capacity c
+// yields its own witness: the EDF run missed a deadline at cycle t, and
+// since the last cycle s before t where it idled or placed an interval
+// due after t, it has filled every cycle with intervals that started
+// after s and are due by t. The window [s+1, t] therefore holds more
+// than c(t-s) intervals, and the last failed probe, at c = lb-1, proves
+// lb.
+func (inst *Instance) Bound() (int, error) {
+	lb, _, err := inst.bound(nil)
+	return lb, err
+}
+
+// bound is Bound with an optional explain sink, returning the witness.
+func (inst *Instance) bound(st *Stats) (int, witness, error) {
+	k, numColors := len(inst.Intervals), inst.NumColors
+	if k == 0 {
+		return 0, witness{lo: 0, hi: numColors - 1}, nil
+	}
+	sc := getLBScratch(numColors, k)
+	defer lbPool.Put(sc)
+	hi := sc.bucket(inst.Intervals, numColors) // always feasible
+	lo := (k+numColors-1)/numColors - 1        // known infeasible
+	w := witness{lo: 0, hi: numColors - 1}
+	probes := 0
+	feasible := func(c int) bool {
+		probes++
+		t := sc.probe(numColors, c)
+		if t < 0 {
+			return true
+		}
+		w = witness{lo: sc.slack(t) + 1, hi: t}
+		return false
+	}
+	if !feasible(lo + 1) {
+		lo++
+		for step := 1; lo+step < hi; step *= 2 {
+			if feasible(lo + step) {
+				hi = lo + step
+				break
+			}
+			lo += step
+		}
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if feasible(mid) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+	} else {
+		hi = lo + 1
+	}
+	if st != nil {
+		st.Probes += probes
+	}
+	for _, iv := range inst.Intervals {
+		if w.lo <= iv.Start && iv.End <= w.hi {
+			w.count++
+		}
+	}
+	if w.count <= lo*(w.hi-w.lo+1) {
+		return 0, w, fmt.Errorf("bcp: witness [%d,%d] holds %d intervals, not more than %d per color: bound %d unproven",
+			w.lo, w.hi, w.count, lo, hi)
+	}
+	return hi, w, nil
+}
+
+// bucket counting-sorts the intervals' deadlines by start into the
+// scratch's CSR arrays and returns the largest start bucket.
+func (sc *lbScratch) bucket(ivs []Interval, numColors int) int {
+	off := sc.off
+	for _, iv := range ivs {
+		off[iv.Start+2]++
+	}
+	largest := int32(0)
+	for s := 2; s < numColors+2; s++ {
+		largest = max(largest, off[s])
+		off[s] += off[s-1]
+	}
+	for _, iv := range ivs {
+		sc.ends[off[iv.Start+1]] = int32(iv.End)
+		off[iv.Start+1]++
+	}
+	return int(largest)
+}
+
+// probe runs Algorithm 2 at capacity c on counts alone: the pending
+// intervals are a count per deadline plus a bitmap of the non-empty
+// deadlines, so there is no heap and no interval identity. It returns
+// -1 when every interval is placed, or else the first cycle t that
+// ends with an interval due at t still pending. Per cycle it records in
+// sc.last the latest deadline it placed, or numColors if it idled, for
+// slack to find the witness.
+//
+// dpvet:hot
+func (sc *lbScratch) probe(numColors, c int) int {
+	cnt, set, last := sc.cnt, sc.set, sc.last
+	capacity := int32(c)
+	lo, pending := numColors, 0 // lo never exceeds the earliest pending deadline
+	for x := 0; x < numColors; x++ {
+		arrivals := sc.ends[sc.off[x]:sc.off[x+1]]
+		for _, e := range arrivals {
+			if cnt[e] == 0 {
+				set[e>>6] |= 1 << (uint(e) & 63)
+			}
+			cnt[e]++
+			lo = min(lo, int(e))
+		}
+		pending += len(arrivals)
+		budget := capacity
+		for budget > 0 && pending > 0 {
+			lo = nextSet(set, lo)
+			take := min(budget, cnt[lo])
+			cnt[lo] -= take
+			budget -= take
+			pending -= int(take)
+			if cnt[lo] == 0 {
+				set[lo>>6] &^= 1 << (uint(lo) & 63)
+			}
+		}
+		if budget > 0 {
+			last[x] = int32(numColors)
+		} else {
+			last[x] = int32(lo)
+		}
+		if cnt[x] > 0 {
+			clear(cnt)
+			clear(set)
+			return x
+		}
+	}
+	return -1
+}
+
+// slack returns the last cycle s before t at which the failed probe
+// idled or placed an interval due after t, or -1 if there is none.
+func (sc *lbScratch) slack(t int) int {
+	s := t - 1
+	for s >= 0 && int(sc.last[s]) <= t {
+		s--
+	}
+	return s
+}
+
+// nextSet returns the first set bit at or after i; one must exist.
+func nextSet(set []uint64, i int) int {
+	w := i >> 6
+	if word := set[w] >> (uint(i) & 63); word != 0 {
+		return i + bits.TrailingZeros64(word)
+	}
+	for w++; set[w] == 0; w++ {
+	}
+	return w<<6 + bits.TrailingZeros64(set[w])
+}
+
+// edfEntry is one pending interval of Algorithm 2: its index and,
+// inline, the End it is keyed by.
+type edfEntry struct {
+	end, idx int32
+}
+
+// endHeap is a hand-rolled min-heap of pending intervals ordered by
+// End — the "deadline" heap of Algorithm 2. It reproduces
 // container/heap's sift order exactly (so EDF tie-breaks, and with
 // them the assigned colors, are unchanged) without heap.Interface's
-// boxed Push/Pop values and indirect Less calls, which dominated the
-// solver's profile.
-type endHeap struct {
-	idx       []int
-	intervals []Interval
-}
+// boxed Push/Pop values and indirect Less calls.
+type endHeap []edfEntry
 
-func (h *endHeap) less(i, j int) bool {
-	return h.intervals[h.idx[i]].End < h.intervals[h.idx[j]].End
-}
+func (h endHeap) less(i, j int) bool { return h[i].end < h[j].end }
 
-func (h *endHeap) push(v int) {
-	h.idx = append(h.idx, v)
-	for i := len(h.idx) - 1; i > 0; {
+func (h *endHeap) push(e edfEntry) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !q.less(i, parent) {
 			break
 		}
-		h.idx[i], h.idx[parent] = h.idx[parent], h.idx[i]
+		q[i], q[parent] = q[parent], q[i]
 		i = parent
 	}
 }
 
-func (h *endHeap) pop() int {
-	n := len(h.idx) - 1
-	h.idx[0], h.idx[n] = h.idx[n], h.idx[0]
-	v := h.idx[n]
-	h.idx = h.idx[:n]
+func (h *endHeap) pop() edfEntry {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	v := q[n]
+	q = q[:n]
 	for i := 0; ; {
 		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && h.less(j2, j) {
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
 			j = j2
 		}
-		if !h.less(j, i) {
+		if !q.less(j, i) {
 			break
 		}
-		h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
+		q[i], q[j] = q[j], q[i]
 		i = j
 	}
+	*h = q
 	return v
 }
 
@@ -321,27 +401,37 @@ func (inst *Instance) Assign(capacity int) ([]int, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("bcp: capacity %d must be positive", capacity)
 	}
-	// Bucket interval indices by start color (counting sort — the
-	// "sort by starting time" of Algorithm 2 line 1).
-	byStart := make([][]int, inst.NumColors)
+	// Counting-sort interval indices by start color into one CSR array
+	// (the "sort by starting time" of Algorithm 2 line 1): the
+	// intervals starting at color c are byStart[off[c]:off[c+1]], in
+	// index order.
+	off := make([]int, inst.NumColors+2)
+	for _, iv := range inst.Intervals {
+		off[iv.Start+2]++
+	}
+	for s := 2; s < len(off); s++ {
+		off[s] += off[s-1]
+	}
+	byStart := make([]int, k)
 	for i, iv := range inst.Intervals {
-		byStart[iv.Start] = append(byStart[iv.Start], i)
+		byStart[off[iv.Start+1]] = i
+		off[iv.Start+1]++
 	}
 
 	colors := make([]int, k)
-	h := &endHeap{intervals: inst.Intervals, idx: make([]int, 0, k)}
+	h := make(endHeap, 0, k)
 	assigned := 0
 	for c := 0; c < inst.NumColors; c++ {
-		for _, i := range byStart[c] {
-			h.push(i)
+		for _, i := range byStart[off[c]:off[c+1]] {
+			h.push(edfEntry{end: int32(inst.Intervals[i].End), idx: int32(i)})
 		}
-		for picked := 0; picked < capacity && len(h.idx) > 0; picked++ {
-			i := h.pop()
-			if inst.Intervals[i].End < c {
+		for picked := 0; picked < capacity && len(h) > 0; picked++ {
+			e := h.pop()
+			if int(e.end) < c {
 				return nil, fmt.Errorf("bcp: interval [%d,%d] missed its deadline at color %d (capacity %d too small)",
-					inst.Intervals[i].Start, inst.Intervals[i].End, c, capacity)
+					inst.Intervals[e.idx].Start, e.end, c, capacity)
 			}
-			colors[i] = c
+			colors[e.idx] = c
 			assigned++
 		}
 	}
@@ -351,25 +441,28 @@ func (inst *Instance) Assign(capacity int) ([]int, error) {
 	return colors, nil
 }
 
-// Solve runs Algorithm 1 followed by Algorithm 2 and returns the optimal
-// coloring. The returned Solution always has Bottleneck == LowerBound,
-// which is the paper's optimality result.
+// Solve computes the lower bound and runs Algorithm 2 at it, returning
+// the optimal coloring. The returned Solution always has Bottleneck ==
+// LowerBound, which is the paper's optimality result.
 func (inst *Instance) Solve() (*Solution, error) {
 	return inst.SolveStats(nil)
 }
 
 // SolveStats is Solve with an optional explain sink: when st is
-// non-nil it accumulates the Algorithm 1 prune counters and the wall
-// time of the bound and assignment phases. A nil st takes the exact
-// untimed path of Solve.
+// non-nil it accumulates the probe count and the wall time of the
+// bound and assignment phases. A nil st takes the exact untimed path
+// of Solve. A bound whose witness fails to prove it is an error.
 func (inst *Instance) SolveStats(st *Stats) (*Solution, error) {
 	var t0 time.Time
 	if st != nil {
 		t0 = time.Now()
 	}
-	lb := inst.lowerBound(st)
+	lb, _, err := inst.bound(st)
 	if st != nil {
 		st.BoundNS += time.Since(t0).Nanoseconds()
+	}
+	if err != nil {
+		return nil, err
 	}
 	if len(inst.Intervals) == 0 {
 		return &Solution{Colors: nil, Bottleneck: 0, LowerBound: 0}, nil

@@ -249,6 +249,22 @@ func TestPropertyLowerBoundIsABound(t *testing.T) {
 	}
 }
 
+// TestAssignAllocs pins Algorithm 2's allocations: the CSR start
+// buckets (offsets and indices), the heap and the returned colors,
+// however many intervals and colors the instance has.
+func TestAssignAllocs(t *testing.T) {
+	inst := randomInstance(rand.New(rand.NewSource(7)), 500, 20000)
+	lb := inst.LowerBound()
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := inst.Assign(lb); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 4 {
+		t.Fatalf("Assign allocates %.1f times per call, want 4", avg)
+	}
+}
+
 func BenchmarkBCPLowerBound(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	inst := randomInstance(r, 500, 20000)

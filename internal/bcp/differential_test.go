@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestLowerBoundMatchesRef pins the pruned LowerBound (empty-start
-// skip, suffix break, fold horizon, pooled scratch) to the unpruned
-// reference sweep over a spread of instance shapes: dense and sparse
-// starts, unit intervals, full-range intervals, and empty instances.
+// TestLowerBoundMatchesRef pins the probe bound (pooled scratch,
+// galloping and bisecting probes) to Algorithm 1's window sweep over a
+// spread of instance shapes: dense and sparse starts, unit intervals,
+// full-range intervals, and empty instances.
 func TestLowerBoundMatchesRef(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 400; trial++ {
@@ -26,15 +26,15 @@ func TestLowerBoundMatchesRef(t *testing.T) {
 		got := inst.LowerBound()
 		want := inst.lowerBoundRef()
 		if got != want {
-			t.Fatalf("trial %d (C=%d, k=%d): pruned LowerBound = %d, ref = %d\nintervals: %v",
+			t.Fatalf("trial %d (C=%d, k=%d): LowerBound = %d, window sweep = %d\nintervals: %v",
 				trial, inst.NumColors, len(inst.Intervals), got, want, inst.Intervals)
 		}
 	}
 }
 
 // TestLowerBoundScratchResize alternates color-range sizes so the
-// pooled scratch shrinks and regrows across calls; a stale bucket or a
-// non-zeroed row entry from a previous size shows up as a wrong bound.
+// pooled scratch shrinks and regrows across calls; a stale offset or a
+// non-zeroed count from a previous size shows up as a wrong bound.
 func TestLowerBoundScratchResize(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	sizes := []struct{ c, k int }{{200, 50}, {5, 8}, {120, 30}, {3, 3}, {250, 12}}

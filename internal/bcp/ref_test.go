@@ -2,11 +2,11 @@ package bcp
 
 import "sort"
 
-// lowerBoundRef is the unpruned Algorithm 1 sweep exactly as it stood
-// before the windowed prunings landed in LowerBound: the full O(C²+k)
-// rolling-row maximization with no empty-start skip, no suffix break
-// and no fold horizon. The differential tests pin LowerBound to it
-// bit-for-bit, so any pruning that is not exact fails loudly.
+// lowerBoundRef is Algorithm 1 as the paper states it, the reference
+// oracle the probe bound is pinned to: the maximum over every color
+// window [i,j] of ceil(T(i,j)/(j-i+1)), where T(i,j) counts the
+// intervals wholly inside the window, computed with a rolling row over
+// colors in O(C²+k) time.
 func (inst *Instance) lowerBoundRef() int {
 	if len(inst.Intervals) == 0 {
 		return 0

@@ -2,42 +2,42 @@ package bcp
 
 import "sync"
 
-// lbScratch is the reusable working memory of LowerBound: the
-// start-bucketed end lists and the rolling T(i,j) row, both sized by
-// the color range. Pooled because the fill hot path computes one bound
-// per fill (plus one per Solve) and the buckets dominate its transient
-// allocation.
+// lbScratch is the reusable working memory of the bound: the deadlines
+// counting-sorted by start (CSR offsets plus one flat array), and the
+// probe's per-deadline counts, non-empty bitmap and per-cycle record.
+// Pooled because the fill hot path computes one bound per fill and
+// these arrays would otherwise dominate its transient allocation.
 //
-// Invariant at rest (in the pool): every entry of ends[:cap] has
-// length 0 and every entry of t[:cap] is 0, so getLBScratch only has
-// to re-slice. putLBScratch restores the invariant for the entries the
-// last use touched; entries beyond the current length were already
-// reset by the put that last used them.
+// Invariant at rest (in the pool): cnt and set are all zero, so a
+// probe starts from an empty pending set; probe restores it before it
+// returns. off is zeroed by get; ends and last are overwritten before
+// they are read.
 type lbScratch struct {
-	ends [][]int
-	t    []int
+	off  []int32 // length C+2; see bucket
+	ends []int32 // length k
+	cnt  []int32 // length C
+	set  []uint64
+	last []int32 // length C
 }
 
 var lbPool = sync.Pool{New: func() any { return new(lbScratch) }}
 
-func getLBScratch(c int) *lbScratch {
+func getLBScratch(numColors, k int) *lbScratch {
 	sc := lbPool.Get().(*lbScratch)
-	if cap(sc.ends) < c || cap(sc.t) < c {
-		sc.ends = make([][]int, c)
-		sc.t = make([]int, c)
-	} else {
-		sc.ends = sc.ends[:c]
-		sc.t = sc.t[:c]
+	if cap(sc.cnt) < numColors {
+		sc.off = make([]int32, numColors+2)
+		sc.cnt = make([]int32, numColors)
+		sc.set = make([]uint64, (numColors+63)/64)
+		sc.last = make([]int32, numColors)
 	}
+	if cap(sc.ends) < k {
+		sc.ends = make([]int32, k)
+	}
+	sc.off = sc.off[:numColors+2]
+	clear(sc.off)
+	sc.ends = sc.ends[:k]
+	sc.cnt = sc.cnt[:numColors]
+	sc.set = sc.set[:(numColors+63)/64]
+	sc.last = sc.last[:numColors]
 	return sc
-}
-
-func putLBScratch(sc *lbScratch) {
-	for s := range sc.ends {
-		sc.ends[s] = sc.ends[s][:0]
-	}
-	for j := range sc.t {
-		sc.t[j] = 0
-	}
-	lbPool.Put(sc)
 }

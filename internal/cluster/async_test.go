@@ -127,7 +127,7 @@ func TestReplayedJobWaitsForFleetAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := jobs.Open(jobs.Config{
-		Runner: func(context.Context, json.RawMessage) (json.RawMessage, error) {
+		Runner: func(context.Context, any) (json.RawMessage, error) {
 			t.Error("gated manager ran the job")
 			return nil, nil
 		},
@@ -137,7 +137,7 @@ func TestReplayedJobWaitsForFleetAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Submit(payload, len(req.Jobs), "")
+	st, err := m.Submit(jobs.Submission{Payload: payload, Req: payload, Total: len(req.Jobs)}, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestCoordinatorDebugReturnsFillExplains(t *testing.T) {
 			if tr.Rows <= 0 || tr.Cols <= 0 || tr.Shards <= 0 {
 				t.Fatalf("batch %d job %d: trace shape/shards missing: %+v", b, i, tr)
 			}
-			if tr.Intervals > 0 && tr.BCP.StartsScanned == 0 {
+			if tr.Intervals > 0 && tr.BCP.Probes == 0 {
 				t.Fatalf("batch %d job %d: BCP counters empty despite %d intervals", b, i, tr.Intervals)
 			}
 		}

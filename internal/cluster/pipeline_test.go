@@ -254,3 +254,17 @@ func TestPipelineShardedHonorsTimeout(t *testing.T) {
 		t.Fatalf("async sharded pipeline past timeout_ms ended %s (%q), want failed on its deadline", final.State, final.Error)
 	}
 }
+
+// TestPipelineSpecOverGateLimitThroughCoordinator: the coordinator
+// refuses an oversized custom spec from its declared size, both on its
+// own sharded path and on the single-shard path its fallback runs.
+func TestPipelineSpecOverGateLimitThroughCoordinator(t *testing.T) {
+	c := coordClient(t, newTestCoordinator(t, Config{}))
+	for _, shards := range []int{1, 2} {
+		req := client.PipelineRequest{Spec: "pis=1,gates=1048576", ATPG: pipeline.ATPGConfig{Shards: shards}}
+		_, err := c.Pipeline(context.Background(), req)
+		if !isAPIStatus(err, 400) || !strings.Contains(err.Error(), "declares 1048577 gates") {
+			t.Errorf("%d shards: %v, want 400 from the declared size", shards, err)
+		}
+	}
+}

@@ -343,7 +343,7 @@ func Bottleneck(s *cube.Set) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return inst.LowerBound(), nil
+	return inst.Bound()
 }
 
 // Reconstruct applies §V-D: given the mapping and a BCP coloring (one

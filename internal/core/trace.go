@@ -22,7 +22,7 @@ type WindowTrace struct {
 }
 
 // Trace is a fill's explain record: per-stage wall time over the
-// packed hot path, the BCP solver's prune counters, arena reuse, and —
+// packed hot path, the BCP bound's probe count, arena reuse, and —
 // for windowed fills — one WindowTrace per window. Attach one via
 // Options.Trace; a nil sink costs the hot path only a handful of
 // predictable branches (pinned by the CI bench gate).
@@ -51,7 +51,7 @@ type Trace struct {
 	Peak       int `json:"peak"`
 	LowerBound int `json:"lower_bound"`
 
-	// BCP carries Algorithm 1's prune counters, summed across windows.
+	// BCP carries the bound's probe count, summed across windows.
 	BCP bcp.Stats `json:"bcp"`
 
 	// Stage wall times, nanoseconds. They sum (with OtherNS) to TotalNS.

@@ -76,8 +76,8 @@ func TestTraceStageSumIdentity(t *testing.T) {
 		t.Fatalf("trace intervals/forced %d/%d != result %d/%d",
 			tr.Intervals, tr.ForcedUnit, res.NumIntervals, res.ForcedUnit)
 	}
-	if tr.Intervals > 0 && tr.BCP.StartsScanned == 0 {
-		t.Fatal("BCP sweep ran but scanned no starts")
+	if tr.Intervals > 0 && tr.BCP.Probes == 0 {
+		t.Fatal("BCP bound ran but counted no probes")
 	}
 	if tr.Windows != nil {
 		t.Fatalf("monolithic fill recorded windows: %d", len(tr.Windows))

@@ -123,7 +123,7 @@ func FillWindowedWith(s *cube.Set, windowSize int, opt Options) (*cube.Set, *Res
 	res.LowerBound = lb
 	if tr != nil {
 		// The whole-sequence bound is bound work; count it with the
-		// windows' Algorithm 1 time.
+		// windows' bound time.
 		tr.BoundNS += time.Since(boundStart).Nanoseconds()
 		tr.Rows = s.Width
 		tr.Cols = n

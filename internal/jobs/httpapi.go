@@ -16,10 +16,11 @@ import (
 const IdempotencyHeader = "X-Idempotency-Key"
 
 // DecodeSubmit validates a POST /v1/jobs body against the host
-// service's own limits and schema and returns the canonical payload to
-// journal plus the job's work-item count. On failure it must answer
-// the request itself and return ok=false.
-type DecodeSubmit func(w http.ResponseWriter, r *http.Request) (payload json.RawMessage, total int, ok bool)
+// service's own limits and schema and returns the decoded job: its
+// canonical payload to journal, its request and its work-item count.
+// It is the only decode a submitted job gets. On failure it must
+// answer the request itself and return ok=false.
+type DecodeSubmit func(w http.ResponseWriter, r *http.Request) (sub Submission, ok bool)
 
 // Mount registers the async job API on mux:
 //
@@ -33,11 +34,11 @@ type DecodeSubmit func(w http.ResponseWriter, r *http.Request) (payload json.Raw
 // /v1/* surface, so clients need exactly one error decoder.
 func Mount(mux *http.ServeMux, m *Manager, decode DecodeSubmit) {
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		payload, total, ok := decode(w, r)
+		sub, ok := decode(w, r)
 		if !ok {
 			return
 		}
-		st, err := m.SubmitTraced(payload, total, r.Header.Get(IdempotencyHeader), reqid.From(r.Context()))
+		st, err := m.Submit(sub, r.Header.Get(IdempotencyHeader), reqid.From(r.Context()))
 		if err != nil {
 			writeJobError(w, err)
 			return

@@ -15,15 +15,21 @@ import (
 // submit decoder (the body is the payload; "bad" is rejected).
 func mountTestAPI(t *testing.T, m *Manager) string {
 	t.Helper()
-	mux := http.NewServeMux()
-	Mount(mux, m, func(w http.ResponseWriter, r *http.Request) (json.RawMessage, int, bool) {
+	return mountTestAPIWith(t, m, func(w http.ResponseWriter, r *http.Request) (Submission, bool) {
 		body, err := io.ReadAll(r.Body)
 		if err != nil || strings.Contains(string(body), "bad") {
 			writeJobJSON(w, http.StatusBadRequest, map[string]string{"error": "bad payload"})
-			return nil, 0, false
+			return Submission{}, false
 		}
-		return body, 1, true
+		return rawJob(body, 1), true
 	})
+}
+
+// mountTestAPIWith serves a Manager through Mount with decode.
+func mountTestAPIWith(t *testing.T, m *Manager, decode DecodeSubmit) string {
+	t.Helper()
+	mux := http.NewServeMux()
+	Mount(mux, m, decode)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts.URL
@@ -148,22 +154,22 @@ func TestHTTPAPISubmitAfterClose(t *testing.T) {
 func TestWALReplayOfFailedAndCancelledJobs(t *testing.T) {
 	dir := t.TempDir()
 	gated := &echoRunner{gate: make(chan struct{})}
-	failing := func(ctx context.Context, p json.RawMessage) (json.RawMessage, error) {
-		if string(p) == `"fail"` {
+	failing := func(ctx context.Context, req any) (json.RawMessage, error) {
+		if string(req.(json.RawMessage)) == `"fail"` {
 			return nil, errors.New("synthetic failure")
 		}
-		return gated.run(ctx, p)
+		return gated.run(ctx, req)
 	}
 	m, err := Open(Config{Runner: failing, Dir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed, err := m.Submit(json.RawMessage(`"fail"`), 1, "")
+	failed, err := m.Submit(rawJob(json.RawMessage(`"fail"`), 1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, m, failed.ID, StateFailed)
-	tocancel, err := m.Submit(json.RawMessage(`"gate"`), 1, "")
+	tocancel, err := m.Submit(rawJob(json.RawMessage(`"gate"`), 1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +182,7 @@ func TestWALReplayOfFailedAndCancelledJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := Open(Config{Runner: func(context.Context, json.RawMessage) (json.RawMessage, error) {
+	m2, err := Open(Config{Runner: func(context.Context, any) (json.RawMessage, error) {
 		t.Error("settled job re-ran after replay")
 		return nil, errors.New("unreachable")
 	}, Dir: dir})

@@ -5,11 +5,12 @@
 //
 // A Manager owns a FIFO queue, a bounded set of job workers, and a
 // retention-bounded history of settled jobs. What the work *is* stays
-// opaque: payloads and results travel as raw JSON and a host-supplied
-// Runner executes them, so the same Manager serves a single dpfilld
-// worker (runner = the local batch engine) and the dpfill-coord
-// coordinator (runner = fleet-sharded dispatch) without knowing the
-// difference.
+// opaque: the host decodes each submission once into a request of its
+// own type, the journal keeps the host's canonical JSON payload, a
+// host-supplied Runner executes the request, and results travel as raw
+// JSON. So the same Manager serves a single dpfilld worker (runner =
+// the local batch engine) and the dpfill-coord coordinator (runner =
+// fleet-sharded dispatch) without knowing the difference.
 //
 // Durability: with a data directory configured, every accepted job is
 // journaled to a write-ahead log before Submit answers, and settled
@@ -87,13 +88,29 @@ type StatusList struct {
 	Jobs []Status `json:"jobs"`
 }
 
-// Runner executes one job: payload in, result out. It must honor ctx —
-// cancellation (DELETE /v1/jobs/{id}) and manager shutdown both arrive
-// through it — and be deterministic if crash-replayed jobs are to
-// answer identically to the run the crash lost. The context carries a
-// progress reporter (Progress); runners that can see partial
+// Runner executes one job: its decoded request in, result out. It must
+// honor ctx — cancellation (DELETE /v1/jobs/{id}) and manager shutdown
+// both arrive through it — and be deterministic if crash-replayed jobs
+// are to answer identically to the run the crash lost. The context
+// carries a progress reporter (Progress); runners that can see partial
 // completion call it so watchers stream per-shard progress.
-type Runner func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error)
+type Runner func(ctx context.Context, req any) (json.RawMessage, error)
+
+// Decoder rebuilds the request of a journaled payload. Open calls it
+// once per replayed job that still has to run; it must decode exactly
+// as the host's submit path does, so a replayed job runs the request
+// its submit would have.
+type Decoder func(payload json.RawMessage) (req any, err error)
+
+// Submission is one decoded job: the canonical JSON the journal keeps,
+// the request the Runner takes, and the job's work-item count. Payload
+// must be compact JSON as json.Marshal writes it, so the journal can
+// splice it into a record as is.
+type Submission struct {
+	Payload json.RawMessage
+	Req     any
+	Total   int
+}
 
 type progressKey struct{}
 
@@ -113,32 +130,14 @@ func Progress(ctx context.Context) func(done int) {
 	return func(int) {}
 }
 
-// RunJSON adapts a typed batch executor into a Runner: the journaled
-// payload decodes into Req, run executes it, and the response is
-// re-encoded as the job's result. Both the fill worker and the
-// coordinator wrap their batch paths with it, so the async decode/
-// encode contract lives in exactly one place.
-func RunJSON[Req, Resp any](run func(context.Context, Req) Resp) Runner {
-	return func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
-		var req Req
-		if err := json.Unmarshal(payload, &req); err != nil {
-			// The payload was validated at submit time; failing to
-			// decode it now means the journal (or a code change) broke it.
-			return nil, fmt.Errorf("decoding journaled job payload: %w", err)
-		}
-		out, err := json.Marshal(run(ctx, req))
-		if err != nil {
-			return nil, fmt.Errorf("encoding job result: %w", err)
-		}
-		return out, nil
-	}
-}
-
 // Config tunes a Manager. Runner is required; the zero value of every
 // other field gets a production-safe default.
 type Config struct {
 	// Runner executes accepted jobs. Required.
 	Runner Runner
+	// Decode rebuilds the requests of replayed jobs; nil hands the
+	// Runner the journaled payload itself.
+	Decode Decoder
 	// Dir is the data directory for the write-ahead log; "" disables
 	// persistence (the API still works, state dies with the process).
 	Dir string
@@ -195,10 +194,15 @@ var (
 // are guarded by the manager's mutex. Creation order — replay
 // included — is the job's position in the manager's jobs slice.
 type job struct {
-	id       string
-	key      string // idempotency key; "" when the submit carried none
-	rid      string // trace ID of the accepting submit; journaled with it
+	id  string
+	key string // idempotency key; "" when the submit carried none
+	rid string // trace ID of the accepting submit; journaled with it
+	// payload and req are the journaled and the decoded request; both
+	// are dropped once the job settles. reqErr is a replayed payload's
+	// decode failure, which fails the job when it runs.
 	payload  json.RawMessage
+	req      any
+	reqErr   error
 	state    State
 	created  time.Time
 	started  time.Time
@@ -354,16 +358,29 @@ func (m *Manager) replay(recs []record) {
 	}
 	m.enforceRetention()
 	for _, j := range m.jobs {
-		if !j.state.Terminal() {
-			m.queue = append(m.queue, j)
-			m.active++
+		if j.state.Terminal() {
+			j.payload = nil
+			continue
 		}
+		j.req, j.reqErr = j.payload, nil
+		if m.cfg.Decode != nil {
+			j.req, j.reqErr = m.cfg.Decode(j.payload)
+		}
+		if j.reqErr != nil {
+			// The payload was validated at submit time; failing to
+			// decode it now means the journal (or a code change) broke it.
+			j.reqErr = fmt.Errorf("decoding journaled job payload: %w", j.reqErr)
+		}
+		m.queue = append(m.queue, j)
+		m.active++
 	}
 }
 
 // liveRecords renders the retained state as a compact journal: one
-// accept per job, plus its terminal record when settled. Callers hold
-// mu, or (during Open) exclusivity.
+// accept per job, plus its terminal record when settled. A settled
+// job's accept carries no payload: it never runs again, and rewriting
+// hundreds of retained megabyte payloads would stall every append
+// behind the compaction. Callers hold mu, or (during Open) exclusivity.
 //
 // dpvet:locked mu
 func (m *Manager) liveRecords() []record {
@@ -432,8 +449,9 @@ func newID() string {
 
 // Submit accepts one job: admission check, durable journal append,
 // enqueue. It returns the queued snapshot the moment the job is safe —
-// a crash after Submit answers can no longer lose it. total is the
-// job's work-item count, echoed as progress denominator.
+// a crash after Submit answers can no longer lose it. sub.Total is the
+// job's work-item count, echoed as progress denominator. A payload
+// holding a raw newline would split its journal record and is refused.
 //
 // key, when non-empty, is the client-minted idempotency key: a submit
 // whose key matches a retained job returns that job's snapshot (same
@@ -446,16 +464,13 @@ func newID() string {
 // concurrent Get/List/Cancel calls never stall behind the disk: the
 // admission slot is reserved first, and the job only becomes visible
 // once its accept record is durable.
-func (m *Manager) Submit(payload json.RawMessage, total int, key string) (Status, error) {
-	return m.SubmitTraced(payload, total, key, "")
-}
-
-// SubmitTraced is Submit carrying the accepting request's trace ID:
-// the ID is journaled with the job and restored to the runner's
-// context, so the job's completion log line (and any access-log lines
-// its execution emits) joins the original submit on rid= — even when
-// the run is a journal replay in a later process.
-func (m *Manager) SubmitTraced(payload json.RawMessage, total int, key, rid string) (Status, error) {
+//
+// rid is the accepting request's trace ID: it is journaled with the
+// job and restored to the runner's context, so the job's completion
+// log line (and any access-log lines its execution emits) joins the
+// original submit on rid= — even when the run is a journal replay in a
+// later process.
+func (m *Manager) Submit(sub Submission, key, rid string) (Status, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -483,10 +498,11 @@ func (m *Manager) SubmitTraced(payload json.RawMessage, total int, key, rid stri
 		id:      newID(),
 		key:     key,
 		rid:     rid,
-		payload: payload,
+		payload: sub.Payload,
+		req:     sub.Req,
 		state:   StateQueued,
 		created: time.Now().UTC(),
-		total:   total,
+		total:   sub.Total,
 	}
 	if key != "" {
 		// Reserve the key before the journal fsync so a duplicate
@@ -601,10 +617,11 @@ func (m *Manager) Cancel(id string) (Status, error) {
 	return st, nil
 }
 
-// applySettleLocked moves a job to a terminal state and frees its
-// admission slot. Callers hold mu and journal the record themselves —
-// outside the lock — via journalSettle.
+// applySettleLocked moves a job to a terminal state, drops its
+// request and frees its admission slot. Callers hold mu and journal
+// the record themselves — outside the lock — via journalSettle.
 func (m *Manager) applySettleLocked(j *job, state State, result json.RawMessage, errMsg string) {
+	j.payload, j.req, j.reqErr = nil, nil, nil
 	j.state = state
 	j.finished = time.Now().UTC()
 	j.result = result
@@ -867,6 +884,7 @@ func (m *Manager) next() *job {
 func (m *Manager) run(j *job) {
 	jctx, cancel := context.WithCancel(m.ctx)
 	m.mu.Lock()
+	req, reqErr := j.req, j.reqErr
 	j.cancel = cancel
 	if j.cancelRequested {
 		// Cancel landed in the window between next() flipping the job
@@ -887,7 +905,11 @@ func (m *Manager) run(j *job) {
 	}
 	pctx := withProgress(rctx, func(done int) { m.setProgress(j, done) })
 	started := time.Now()
-	result, err := m.cfg.Runner(pctx, j.payload)
+	var result json.RawMessage
+	err := reqErr
+	if err == nil {
+		result, err = m.cfg.Runner(pctx, req)
+	}
 	cancel()
 	m.mu.Lock()
 	j.cancel = nil

@@ -13,6 +13,12 @@ import (
 	"time"
 )
 
+// rawJob is a submission whose request is its own payload, which is
+// also what a nil Config.Decode hands the runner after a replay.
+func rawJob(payload json.RawMessage, total int) Submission {
+	return Submission{Payload: payload, Req: payload, Total: total}
+}
+
 // echoRunner answers with the payload it was given, after an optional
 // per-call gate, and counts its invocations.
 type echoRunner struct {
@@ -23,7 +29,7 @@ type echoRunner struct {
 	gate chan struct{}
 }
 
-func (e *echoRunner) run(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
+func (e *echoRunner) run(ctx context.Context, req any) (json.RawMessage, error) {
 	e.calls.Add(1)
 	if e.gate != nil {
 		select {
@@ -32,7 +38,7 @@ func (e *echoRunner) run(ctx context.Context, payload json.RawMessage) (json.Raw
 			return nil, ctx.Err()
 		}
 	}
-	return payload, nil
+	return req.(json.RawMessage), nil
 }
 
 // waitState polls until the job reaches want or the deadline expires.
@@ -62,7 +68,7 @@ func TestSubmitRunsAndRetainsResult(t *testing.T) {
 	}
 	defer m.Close()
 	payload := json.RawMessage(`{"jobs":[1,2,3]}`)
-	st, err := m.Submit(payload, 3, "")
+	st, err := m.Submit(rawJob(payload, 3), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +92,14 @@ func TestSubmitRunsAndRetainsResult(t *testing.T) {
 }
 
 func TestRunnerErrorFailsJob(t *testing.T) {
-	m, err := Open(Config{Runner: func(context.Context, json.RawMessage) (json.RawMessage, error) {
+	m, err := Open(Config{Runner: func(context.Context, any) (json.RawMessage, error) {
 		return nil, errors.New("boom")
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	st, err := m.Submit(json.RawMessage(`{}`), 1, "")
+	st, err := m.Submit(rawJob(json.RawMessage(`{}`), 1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +117,12 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	}
 	defer m.Close()
 	// First job occupies the single worker; the second stays queued.
-	first, err := m.Submit(json.RawMessage(`1`), 1, "")
+	first, err := m.Submit(rawJob(json.RawMessage(`1`), 1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, m, first.ID, StateRunning)
-	second, err := m.Submit(json.RawMessage(`2`), 1, "")
+	second, err := m.Submit(rawJob(json.RawMessage(`2`), 1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +151,7 @@ func TestCancelRunningJobInterruptsRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	st, err := m.Submit(json.RawMessage(`1`), 1, "")
+	st, err := m.Submit(rawJob(json.RawMessage(`1`), 1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,18 +175,18 @@ func TestQueueFullAdmission(t *testing.T) {
 	}
 	defer m.Close()
 	for i := 0; i < 2; i++ {
-		if _, err := m.Submit(json.RawMessage(`1`), 1, ""); err != nil {
+		if _, err := m.Submit(rawJob(json.RawMessage(`1`), 1), "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.Submit(json.RawMessage(`1`), 1, ""); !errors.Is(err, ErrQueueFull) {
+	if _, err := m.Submit(rawJob(json.RawMessage(`1`), 1), "", ""); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit: %v, want ErrQueueFull", err)
 	}
 	// Settling a job frees its admission slot.
 	close(r.gate)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := m.Submit(json.RawMessage(`1`), 1, ""); err == nil {
+		if _, err := m.Submit(rawJob(json.RawMessage(`1`), 1), "", ""); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -199,7 +205,7 @@ func TestRetentionEvictsOldestSettled(t *testing.T) {
 	defer m.Close()
 	ids := make([]string, 6)
 	for i := range ids {
-		st, err := m.Submit(json.RawMessage(fmt.Sprintf(`%d`, i)), 1, "")
+		st, err := m.Submit(rawJob(json.RawMessage(fmt.Sprintf(`%d`, i)), 1), "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +235,7 @@ func TestWALReplayServesSettledResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := json.RawMessage(`{"jobs":["a"]}`)
-	st, err := m.Submit(payload, 1, "")
+	st, err := m.Submit(rawJob(payload, 1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +245,7 @@ func TestWALReplayServesSettledResults(t *testing.T) {
 	}
 	// A fresh manager on the same directory serves the settled job
 	// verbatim without re-running it.
-	m2, err := Open(Config{Runner: func(context.Context, json.RawMessage) (json.RawMessage, error) {
+	m2, err := Open(Config{Runner: func(context.Context, any) (json.RawMessage, error) {
 		t.Error("settled job re-ran after replay")
 		return nil, errors.New("unreachable")
 	}, Dir: dir})
@@ -267,7 +273,7 @@ func TestWALReplayRerunsUnsettledJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := json.RawMessage(`{"jobs":["crash"]}`)
-	st, err := m.Submit(payload, 1, "")
+	st, err := m.Submit(rawJob(payload, 1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +305,7 @@ func TestWALTornTailIsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Submit(json.RawMessage(`1`), 1, "")
+	st, err := m.Submit(rawJob(json.RawMessage(`1`), 1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +345,7 @@ func TestWALCompactionDropsEvictedHistory(t *testing.T) {
 	}
 	var last string
 	for i := 0; i < 5; i++ {
-		st, err := m.Submit(json.RawMessage(fmt.Sprintf(`%d`, i)), 1, "")
+		st, err := m.Submit(rawJob(json.RawMessage(fmt.Sprintf(`%d`, i)), 1), "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +387,7 @@ func TestOnlineCompactionBoundsJournal(t *testing.T) {
 	}
 	var last string
 	for i := 0; i < 40; i++ {
-		st, err := m.Submit(json.RawMessage(fmt.Sprintf(`%d`, i)), 1, "")
+		st, err := m.Submit(rawJob(json.RawMessage(fmt.Sprintf(`%d`, i)), 1), "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,11 +433,11 @@ func TestBurstSubmitsReachAllWorkers(t *testing.T) {
 	// Two back-to-back submits can collapse into one token on the
 	// buffered wake channel; both jobs must still start concurrently —
 	// the first worker re-signals while the queue is non-empty.
-	a, err := m.Submit(json.RawMessage(`1`), 1, "")
+	a, err := m.Submit(rawJob(json.RawMessage(`1`), 1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Submit(json.RawMessage(`2`), 1, "")
+	b, err := m.Submit(rawJob(json.RawMessage(`2`), 1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +490,7 @@ func TestSubmitAfterCloseRefused(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Submit(json.RawMessage(`1`), 1, ""); !errors.Is(err, ErrClosed) {
+	if _, err := m.Submit(rawJob(json.RawMessage(`1`), 1), "", ""); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 	if err := m.Close(); err != nil {

@@ -18,18 +18,18 @@ func TestSubmitIdempotencyKeyDedupes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	first, err := m.Submit(json.RawMessage(`{"a":1}`), 1, "key-1")
+	first, err := m.Submit(rawJob(json.RawMessage(`{"a":1}`), 1), "key-1", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dup, err := m.Submit(json.RawMessage(`{"a":1}`), 1, "key-1")
+	dup, err := m.Submit(rawJob(json.RawMessage(`{"a":1}`), 1), "key-1", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dup.ID != first.ID {
 		t.Fatalf("duplicate submit minted a new job: %s vs %s", dup.ID, first.ID)
 	}
-	other, err := m.Submit(json.RawMessage(`{"a":2}`), 1, "key-2")
+	other, err := m.Submit(rawJob(json.RawMessage(`{"a":2}`), 1), "key-2", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSubmitIdempotencyKeyDedupes(t *testing.T) {
 	}
 	// The dedupe holds even against a settled job: the retried POST may
 	// arrive after the job finished.
-	late, err := m.Submit(json.RawMessage(`{"a":1}`), 1, "key-1")
+	late, err := m.Submit(rawJob(json.RawMessage(`{"a":1}`), 1), "key-1", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSubmitIdempotencyConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := m.Submit(json.RawMessage(`{}`), 1, "shared")
+			st, err := m.Submit(rawJob(json.RawMessage(`{}`), 1), "shared", "")
 			if err == nil {
 				ids[i] = st.ID
 			}
@@ -92,7 +92,7 @@ func TestIdempotencyKeySurvivesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Submit(json.RawMessage(`{"x":1}`), 1, "replay-key")
+	st, err := m.Submit(rawJob(json.RawMessage(`{"x":1}`), 1), "replay-key", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestIdempotencyKeySurvivesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	dup, err := m2.Submit(json.RawMessage(`{"x":1}`), 1, "replay-key")
+	dup, err := m2.Submit(rawJob(json.RawMessage(`{"x":1}`), 1), "replay-key", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,18 +118,18 @@ func TestIdempotencyKeySurvivesReplay(t *testing.T) {
 // progress advances -> terminal with result, then channel close.
 func TestWatchDeliversTransitionsAndProgress(t *testing.T) {
 	release := make(chan struct{})
-	m, err := Open(Config{Runner: func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	m, err := Open(Config{Runner: func(ctx context.Context, req any) (json.RawMessage, error) {
 		<-release
 		report := Progress(ctx)
 		report(1)
 		report(2)
-		return payload, nil
+		return req.(json.RawMessage), nil
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	st, err := m.Submit(json.RawMessage(`"p"`), 2, "")
+	st, err := m.Submit(rawJob(json.RawMessage(`"p"`), 2), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestWatchTerminalJobAnswersImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	st, err := m.Submit(json.RawMessage(`1`), 1, "")
+	st, err := m.Submit(rawJob(json.RawMessage(`1`), 1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestWatchCancelStopsDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	st, err := m.Submit(json.RawMessage(`1`), 1, "")
+	st, err := m.Submit(rawJob(json.RawMessage(`1`), 1), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

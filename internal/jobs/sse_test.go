@@ -66,10 +66,10 @@ func readSSE(t *testing.T, url string) []sseEvent {
 // result — then the stream ends. No polling anywhere.
 func TestWatchStreamsLifecycleOverSSE(t *testing.T) {
 	release := make(chan struct{})
-	m, err := Open(Config{Runner: func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
+	m, err := Open(Config{Runner: func(ctx context.Context, req any) (json.RawMessage, error) {
 		<-release
 		Progress(ctx)(1)
-		return payload, nil
+		return req.(json.RawMessage), nil
 	}})
 	if err != nil {
 		t.Fatal(err)

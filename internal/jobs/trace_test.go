@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/logx"
 	"repro/internal/reqid"
@@ -32,11 +33,14 @@ func (b *logBuf) String() string {
 }
 
 // settleLine picks the settlement record for the given job out of the
-// structured log.
+// structured log. The worker logs it after the job's state turns
+// terminal, so it waits up to five seconds for the line to appear.
 func settleLine(buf *logBuf, id string) string {
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.Contains(line, "msg=job") && strings.Contains(line, "id="+id) {
-			return line
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(line, "msg=job") && strings.Contains(line, "id="+id) {
+				return line
+			}
 		}
 	}
 	return ""
@@ -50,9 +54,9 @@ func TestJobCompletionLogCarriesRid(t *testing.T) {
 	var buf logBuf
 	var gotCtxRid string
 	m, err := Open(Config{
-		Runner: func(ctx context.Context, p json.RawMessage) (json.RawMessage, error) {
+		Runner: func(ctx context.Context, req any) (json.RawMessage, error) {
 			gotCtxRid = reqid.From(ctx)
-			return p, nil
+			return req.(json.RawMessage), nil
 		},
 		Log: logx.New(&buf, logx.Options{NoTime: true}),
 	})
@@ -60,7 +64,7 @@ func TestJobCompletionLogCarriesRid(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	st, err := m.SubmitTraced(json.RawMessage(`{"n":1}`), 0, "", "rid-job-7")
+	st, err := m.Submit(rawJob(json.RawMessage(`{"n":1}`), 0), "", "rid-job-7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +93,7 @@ func TestSubmitWithoutRidLogsNone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	st, err := m.Submit(json.RawMessage(`{}`), 0, "")
+	st, err := m.Submit(rawJob(json.RawMessage(`{}`), 0), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +123,7 @@ func TestRidSurvivesJournalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m1.SubmitTraced(json.RawMessage(`{"replay":true}`), 0, "", "rid-replay-3")
+	st, err := m1.Submit(rawJob(json.RawMessage(`{"replay":true}`), 0), "", "rid-replay-3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +134,9 @@ func TestRidSurvivesJournalReplay(t *testing.T) {
 	var buf logBuf
 	var gotCtxRid string
 	m2, err := Open(Config{
-		Runner: func(ctx context.Context, p json.RawMessage) (json.RawMessage, error) {
+		Runner: func(ctx context.Context, req any) (json.RawMessage, error) {
 			gotCtxRid = reqid.From(ctx)
-			return p, nil
+			return req.(json.RawMessage), nil
 		},
 		Dir: dir,
 		Log: logx.New(&buf, logx.Options{NoTime: true}),

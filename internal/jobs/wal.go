@@ -2,7 +2,9 @@ package jobs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -127,13 +129,41 @@ func readWAL(path string) ([]record, error) {
 	}
 }
 
-// append journals one record durably: marshal, write, fsync.
-func (w *wal) append(rec record) error {
+// encode renders rec as one journal line. The fixed fields go through
+// json.Marshal; the payload or result, already encoded by the host's
+// json.Marshal, is spliced in as the record's last field, which is
+// where json.Marshal(rec) would put it. Marshaling it again would only
+// re-validate and re-compact a megabyte of JSON into the same bytes. A
+// raw newline would split the record, so it is refused.
+func (rec record) encode() ([]byte, error) {
+	field, raw := `,"payload":`, rec.Payload
+	if len(rec.Result) > 0 {
+		field, raw = `,"result":`, rec.Result
+	}
+	rec.Payload, rec.Result = nil, nil
 	data, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("jobs: encoding journal record: %w", err)
+		return nil, fmt.Errorf("jobs: encoding journal record: %w", err)
 	}
-	data = append(data, '\n')
+	if len(raw) == 0 {
+		return append(data, '\n'), nil
+	}
+	if bytes.IndexByte(raw, '\n') >= 0 {
+		return nil, errors.New("jobs: encoding journal record: payload holds a raw newline")
+	}
+	line := make([]byte, 0, len(data)+len(field)+len(raw)+2)
+	line = append(line, data[:len(data)-1]...)
+	line = append(line, field...)
+	line = append(line, raw...)
+	return append(line, '}', '\n'), nil
+}
+
+// append journals one record durably: encode, write, fsync.
+func (w *wal) append(rec record) error {
+	data, err := rec.encode()
+	if err != nil {
+		return err
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if _, err := w.f.Write(data); err != nil {
@@ -175,12 +205,12 @@ func (w *wal) rewriteLocked(recs []record) error {
 	}
 	bw := bufio.NewWriter(f)
 	for _, rec := range recs {
-		data, err := json.Marshal(rec)
+		data, err := rec.encode()
 		if err != nil {
 			f.Close()
-			return fmt.Errorf("jobs: encoding journal record: %w", err)
+			return err
 		}
-		if _, err := bw.Write(append(data, '\n')); err != nil {
+		if _, err := bw.Write(data); err != nil {
 			f.Close()
 			return fmt.Errorf("jobs: compacting journal: %w", err)
 		}

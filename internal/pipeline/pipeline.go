@@ -198,18 +198,35 @@ func ParseNetlist(text string) (*circuit.Circuit, error) {
 }
 
 // ResolveCircuit resolves the request's circuit source: inline netlist
-// text or a generated netgen spec.
-func ResolveCircuit(req Request) (*circuit.Circuit, error) {
+// text or a generated netgen spec. maxGates, when positive, is the
+// serving layer's shape limit, so a one-line spec ("b19") cannot
+// demand a 146k-gate run from a capped server: a spec whose declared
+// inputs, flip-flops and gates already exceed it is refused before any
+// synthesis, and every resolved circuit is checked against it.
+func ResolveCircuit(req Request, maxGates int) (*circuit.Circuit, error) {
+	var c *circuit.Circuit
 	if req.Netlist != "" {
-		return ParseNetlist(req.Netlist)
+		parsed, err := ParseNetlist(req.Netlist)
+		if err != nil {
+			return nil, err
+		}
+		c = parsed
+	} else {
+		p, err := netgen.ParseSpec(req.Spec)
+		if err != nil {
+			return nil, badf("%v", err)
+		}
+		// Generate emits a gate per input and flip-flop output, the
+		// logic gates, and a D-input buffer per flip-flop.
+		if declared := p.PIs + 2*p.FFs + p.Gates; maxGates > 0 && declared > maxGates {
+			return nil, badf("spec %q declares %d gates, exceeding the limit %d", req.Spec, declared, maxGates)
+		}
+		if c, err = netgen.Generate(p); err != nil {
+			return nil, badf("%v", err)
+		}
 	}
-	p, err := netgen.ParseSpec(req.Spec)
-	if err != nil {
-		return nil, badf("%v", err)
-	}
-	c, err := netgen.Generate(p)
-	if err != nil {
-		return nil, badf("%v", err)
+	if maxGates > 0 && len(c.Gates) > maxGates {
+		return nil, badf("circuit %q has %d gates, exceeding the limit %d", c.Name, len(c.Gates), maxGates)
 	}
 	return c, nil
 }

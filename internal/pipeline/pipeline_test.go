@@ -104,7 +104,7 @@ func TestShardedRunMatchesShardMerge(t *testing.T) {
 
 	// Re-run the same request as a coordinator would: one StageATPG
 	// request per shard, MergeShards, one Finish.
-	c, err := ResolveCircuit(req)
+	c, err := ResolveCircuit(req, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestMergeShardsErrors(t *testing.T) {
 
 func TestFinishEmptySet(t *testing.T) {
 	req := Request{Spec: testSpec}
-	c, err := ResolveCircuit(req)
+	c, err := ResolveCircuit(req, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,8 @@ type RunOptions struct {
 	// count (out of Request.Steps()) as stages finish — the async job
 	// layer forwards it to SSE watchers.
 	Progress func(done int)
-	// MaxGates, when positive, rejects resolved circuits with more
-	// gates — the serving layer's shape limit, so a one-line spec
-	// ("b19") cannot demand a 146k-gate run from a capped server.
+	// MaxGates, when positive, rejects circuits with more gates; see
+	// ResolveCircuit.
 	MaxGates int
 }
 
@@ -98,13 +97,9 @@ func Run(ctx context.Context, req Request, opt RunOptions) (*Report, error) {
 		return nil, err
 	}
 	start := time.Now()
-	c, err := ResolveCircuit(req)
+	c, err := ResolveCircuit(req, opt.MaxGates)
 	if err != nil {
 		return nil, err
-	}
-	if opt.MaxGates > 0 && len(c.Gates) > opt.MaxGates {
-		return nil, badf("circuit %q has %d gates, exceeding the limit %d",
-			c.Name, len(c.Gates), opt.MaxGates)
 	}
 	stages := []StageTiming{{Stage: "netlist", DurationMillis: millis(time.Since(start))}}
 	opt.progress(1)

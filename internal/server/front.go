@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"time"
@@ -84,6 +86,7 @@ func NewFront(cfg Config, t Tier) (*Front, error) {
 	// the same cubes, peak and total the lost run would have.
 	mgr, err := jobs.Open(jobs.Config{
 		Runner:    f.runJob,
+		Decode:    decodeJob,
 		Dir:       cfg.DataDir,
 		MaxQueued: cfg.MaxQueuedJobs,
 		Retention: cfg.JobRetention,
@@ -225,11 +228,14 @@ func (f *Front) pipeline(ctx context.Context, req pipeline.Request) (*pipeline.R
 	return f.tier.Backend.Pipeline(ctx, req)
 }
 
-// jobSubmit is the POST /v1/jobs body: either a batch (the same
-// schema and limits as POST /v1/batch) or one pipeline run, never
-// both. The strict decoder rejects unknown fields, so a batch payload
-// cannot smuggle a "pipeline" key past validation and confuse the
-// journal-replay dispatch in runJob.
+// jobSubmit is the POST /v1/jobs body, and the request an async job
+// runs: either a batch (the same schema and limits as POST /v1/batch)
+// or one pipeline run, never both. Its canonical encoding is the
+// journaled payload: {"jobs": ...} for a batch, {"pipeline": ...} for
+// a pipeline run, so one WAL carries both job types and journals that
+// predate pipeline jobs replay unchanged. The strict decoder rejects
+// unknown fields, so a batch payload cannot smuggle a "pipeline" key
+// past validation.
 type jobSubmit struct {
 	Jobs  []FillRequest `json:"jobs,omitempty"`
 	Debug bool          `json:"debug,omitempty"`
@@ -238,77 +244,79 @@ type jobSubmit struct {
 	Pipeline *pipeline.Request `json:"pipeline,omitempty"`
 }
 
-// pipelineEnvelope is the journaled payload of an async pipeline job.
-// Batch payloads ({"jobs": ...}) decode into it with a nil Pipeline,
-// which is how runJob tells the two job types apart without a journal
-// format version.
-type pipelineEnvelope struct {
-	Pipeline *pipeline.Request `json:"pipeline"`
-}
-
-// decodeJobSubmit validates a POST /v1/jobs body and returns the
-// canonical payload the job journal stores: the BatchRequest itself
-// for batch submits, or a {"pipeline": ...} envelope for pipeline
-// submits. Per-job resolution errors are not checked here: they
-// surface in the job's result, exactly as the synchronous endpoints
-// report them.
-func (f *Front) decodeJobSubmit(w http.ResponseWriter, r *http.Request) (json.RawMessage, int, bool) {
+// decodeJobSubmit validates a POST /v1/jobs body and returns the job:
+// its canonical journal payload, the request the runner takes, and its
+// work-item count. Per-job resolution errors are not checked here:
+// they surface in the job's result, exactly as the synchronous
+// endpoints report them.
+func (f *Front) decodeJobSubmit(w http.ResponseWriter, r *http.Request) (jobs.Submission, bool) {
 	var req jobSubmit
 	if !f.decode(w, r, &req) {
-		return nil, 0, false
+		return jobs.Submission{}, false
 	}
-	payload, total, err := f.jobPayload(req)
+	sub, err := f.jobPayload(req)
 	if err != nil {
 		writeError(w, err)
-		return nil, 0, false
+		return jobs.Submission{}, false
 	}
-	return payload, total, true
+	return sub, true
 }
 
-func (f *Front) jobPayload(req jobSubmit) (json.RawMessage, int, error) {
+func (f *Front) jobPayload(req jobSubmit) (jobs.Submission, error) {
+	total := len(req.Jobs)
 	if req.Pipeline != nil {
 		if len(req.Jobs) > 0 {
-			return nil, 0, badRequestf("submit carries both jobs and a pipeline; pick one")
+			return jobs.Submission{}, badRequestf("submit carries both jobs and a pipeline; pick one")
 		}
 		if err := req.Pipeline.Validate(); err != nil {
-			return nil, 0, err
+			return jobs.Submission{}, err
 		}
-		payload, err := json.Marshal(pipelineEnvelope{Pipeline: req.Pipeline})
-		return payload, req.Pipeline.Steps(), err
+		req, total = jobSubmit{Pipeline: req.Pipeline}, req.Pipeline.Steps()
+	} else if err := f.validateBatch(BatchRequest{Jobs: req.Jobs}); err != nil {
+		return jobs.Submission{}, err
 	}
-	batch := BatchRequest{Jobs: req.Jobs, Debug: req.Debug}
-	if err := f.validateBatch(batch); err != nil {
-		return nil, 0, err
-	}
-	payload, err := json.Marshal(batch)
-	return payload, len(batch.Jobs), err
+	payload, err := json.Marshal(req)
+	return jobs.Submission{Payload: payload, Req: req, Total: total}, err
 }
 
-// runJob is the async job runner: it dispatches on the journaled
-// payload's envelope — a pipeline request runs the pipeline path, a
-// batch payload the batch path — so one WAL carries both job types and
-// pre-envelope journals (plain batch payloads) replay unchanged. A
-// pipeline failure fails the whole job (there are no per-item slots to
-// isolate it into, unlike a batch).
-func (f *Front) runJob(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
-	var env pipelineEnvelope
-	if json.Unmarshal(payload, &env) == nil && env.Pipeline != nil {
-		rep, err := f.pipeline(ctx, *env.Pipeline)
+// decodeJob rebuilds a replayed job's request from its journaled
+// payload with the strict decoder the submit path uses.
+func decodeJob(payload json.RawMessage) (any, error) {
+	var req jobSubmit
+	err := decodeStrict(bytes.NewReader(payload), &req)
+	return req, err
+}
+
+// runJob is the async job runner. A pipeline job failure fails the
+// whole job (there are no per-item slots to isolate it into, unlike a
+// batch).
+func (f *Front) runJob(ctx context.Context, req any) (json.RawMessage, error) {
+	job, ok := req.(jobSubmit)
+	if !ok {
+		return nil, fmt.Errorf("server: async job request is a %T", req)
+	}
+	var out any
+	if job.Pipeline != nil {
+		rep, err := f.pipeline(ctx, *job.Pipeline)
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(rep)
+		out = rep
+	} else {
+		out = f.tier.Backend.Batch(ctx, BatchRequest{Jobs: job.Jobs, Debug: job.Debug})
 	}
-	return jobs.RunJSON(f.tier.Backend.Batch)(ctx, payload)
+	data, err := json.Marshal(out)
+	if err != nil {
+		return nil, fmt.Errorf("encoding job result: %w", err)
+	}
+	return data, nil
 }
 
 // decode reads a size-limited, strict JSON body into v, answering the
 // error itself (and returning false) on failure.
 func (f *Front) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(r.Body, v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
@@ -320,6 +328,14 @@ func (f *Front) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// decodeStrict decodes one JSON value from r into v, rejecting unknown
+// fields.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // StatusError is an error that names its own HTTP answer. A

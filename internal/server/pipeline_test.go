@@ -290,3 +290,15 @@ func TestPipelineMetricsFamilies(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelineSpecOverGateLimitSkipsSynthesis: a custom spec whose
+// declared size exceeds MaxGates answers 400 from the spec alone. A
+// million-gate synthesis before the check would take seconds.
+func TestPipelineSpecOverGateLimitSkipsSynthesis(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	var errResp errorResponse
+	code := post(t, ts.URL+"/v1/pipeline", pipeline.Request{Spec: "pis=1,gates=1048576"}, &errResp)
+	if code != http.StatusBadRequest || !strings.Contains(errResp.Error, "declares 1048577 gates, exceeding the limit 250000") {
+		t.Fatalf("status %d, error %q: want 400 from the declared size", code, errResp.Error)
+	}
+}
