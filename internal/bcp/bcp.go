@@ -11,14 +11,22 @@
 //
 // The package provides the paper's lower bound and its earliest-
 // deadline greedy assignment (Algorithm 2), plus an exhaustive solver
-// used to verify optimality in tests. The paper computes the bound with
-// Algorithm 1, a maximization over every color window; by its
-// optimality theorem (§VI-C) that number is also the smallest capacity
-// at which Algorithm 2 places every interval, and that is how Bound
-// finds it: a few linear count-only runs of Algorithm 2. Each bound
-// comes with a witness window that proves it the Algorithm 1 way.
-// Colors are 0-based: an instance with NumColors = C uses colors
-// 0..C-1.
+// used to verify optimality in tests. The paper leaves open which of
+// several pending intervals with the same deadline Algorithm 2 places
+// first; its optimality theorem holds for any choice. Here the rule is
+// part of the definition: first admitted, first placed, so the earlier
+// Start goes first and, between equal Starts, the lower index. Every
+// rule places the same multiset of deadlines at every color, so the
+// bottleneck, the per-color counts and the bound do not depend on it;
+// which interval gets which color does.
+//
+// The paper computes the bound with Algorithm 1, a maximization over
+// every color window; by its optimality theorem (§VI-C) that number is
+// also the smallest capacity at which Algorithm 2 places every
+// interval, and that is how Bound finds it: a few linear count-only
+// runs of Algorithm 2. Each bound comes with a witness window that
+// proves it the Algorithm 1 way. Colors are 0-based: an instance with
+// NumColors = C uses colors 0..C-1.
 package bcp
 
 import (
@@ -34,7 +42,9 @@ import (
 // so one Stats can aggregate several solves (e.g. every window of a
 // windowed fill).
 type Stats struct {
-	// Probes counts the count-only Algorithm 2 runs the bound took.
+	// Probes counts the Algorithm 2 runs the bound took: count-only
+	// probes, plus the coloring runs a solve makes at the capacity
+	// that would end the search.
 	Probes int `json:"probes"`
 	// StartsScanned, StartsSkipped, WindowsScanned and SuffixBreaks
 	// were the counters of the Algorithm 1 window sweep. The bound no
@@ -188,19 +198,48 @@ func (inst *Instance) Bound() (int, error) {
 
 // bound is Bound with an optional explain sink, returning the witness.
 func (inst *Instance) bound(st *Stats) (int, witness, error) {
-	k, numColors := len(inst.Intervals), inst.NumColors
-	if k == 0 {
-		return 0, witness{lo: 0, hi: numColors - 1}, nil
+	if len(inst.Intervals) == 0 {
+		return 0, witness{lo: 0, hi: inst.NumColors - 1}, nil
 	}
-	sc := getLBScratch(numColors, k)
+	sc := getLBScratch(inst.NumColors, len(inst.Intervals))
 	defer lbPool.Put(sc)
+	lb, w, _, err := inst.search(sc, st, nil)
+	return lb, w, err
+}
+
+// search buckets the intervals into sc and finds the bound. With
+// colors non-nil, each run at capacity lo+1 (the one whose success
+// ends the search) is a full Algorithm 2 run that writes colors, and
+// placed reports whether colors hold a legal coloring at the returned
+// bound. When st is non-nil, those runs' wall time goes to AssignNS
+// and the rest of the search's to BoundNS.
+func (inst *Instance) search(sc *lbScratch, st *Stats, colors []int) (lb int, w witness, placed bool, err error) {
+	var t0 time.Time
+	var assignNS int64
+	if st != nil {
+		t0 = time.Now()
+	}
+	k, numColors := len(inst.Intervals), inst.NumColors
 	hi := sc.bucket(inst.Intervals, numColors) // always feasible
 	lo := (k+numColors-1)/numColors - 1        // known infeasible
-	w := witness{lo: 0, hi: numColors - 1}
+	w = witness{lo: 0, hi: numColors - 1}
 	probes := 0
 	feasible := func(c int) bool {
 		probes++
-		t := sc.probe(numColors, c)
+		var t int
+		if colors != nil && c == lo+1 {
+			var t1 time.Time
+			if st != nil {
+				t1 = time.Now()
+			}
+			t = sc.assign(numColors, c, colors)
+			placed = t < 0
+			if st != nil {
+				assignNS += time.Since(t1).Nanoseconds()
+			}
+		} else {
+			t = sc.probe(numColors, c)
+		}
 		if t < 0 {
 			return true
 		}
@@ -227,23 +266,27 @@ func (inst *Instance) bound(st *Stats) (int, witness, error) {
 	} else {
 		hi = lo + 1
 	}
-	if st != nil {
-		st.Probes += probes
-	}
 	for _, iv := range inst.Intervals {
 		if w.lo <= iv.Start && iv.End <= w.hi {
 			w.count++
 		}
 	}
+	if st != nil {
+		st.Probes += probes
+		st.AssignNS += assignNS
+		st.BoundNS += time.Since(t0).Nanoseconds() - assignNS
+	}
 	if w.count <= lo*(w.hi-w.lo+1) {
-		return 0, w, fmt.Errorf("bcp: witness [%d,%d] holds %d intervals, not more than %d per color: bound %d unproven",
+		return 0, w, false, fmt.Errorf("bcp: witness [%d,%d] holds %d intervals, not more than %d per color: bound %d unproven",
 			w.lo, w.hi, w.count, lo, hi)
 	}
-	return hi, w, nil
+	return hi, w, placed, nil
 }
 
-// bucket counting-sorts the intervals' deadlines by start into the
-// scratch's CSR arrays and returns the largest start bucket.
+// bucket counting-sorts the intervals by start into the scratch's CSR
+// arrays, in index order within a start: the deadlines and indices of
+// the intervals starting at color s are ends and idx at
+// [off[s], off[s+1]). It returns the largest start bucket.
 func (sc *lbScratch) bucket(ivs []Interval, numColors int) int {
 	off := sc.off
 	for _, iv := range ivs {
@@ -254,8 +297,10 @@ func (sc *lbScratch) bucket(ivs []Interval, numColors int) int {
 		largest = max(largest, off[s])
 		off[s] += off[s-1]
 	}
-	for _, iv := range ivs {
-		sc.ends[off[iv.Start+1]] = int32(iv.End)
+	for i, iv := range ivs {
+		p := off[iv.Start+1]
+		sc.ends[p] = int32(iv.End)
+		sc.idx[p] = int32(i)
 		off[iv.Start+1]++
 	}
 	return int(largest)
@@ -263,11 +308,11 @@ func (sc *lbScratch) bucket(ivs []Interval, numColors int) int {
 
 // probe runs Algorithm 2 at capacity c on counts alone: the pending
 // intervals are a count per deadline plus a bitmap of the non-empty
-// deadlines, so there is no heap and no interval identity. It returns
-// -1 when every interval is placed, or else the first cycle t that
-// ends with an interval due at t still pending. Per cycle it records in
-// sc.last the latest deadline it placed, or numColors if it idled, for
-// slack to find the witness.
+// deadlines, so there is no interval identity. It returns -1 when
+// every interval is placed, or else the first cycle t that ends with
+// an interval due at t still pending. Per cycle it records in sc.last
+// the latest deadline it placed, or numColors if it idled, for slack
+// to find the witness.
 //
 // dpvet:hot
 func (sc *lbScratch) probe(numColors, c int) int {
@@ -309,7 +354,63 @@ func (sc *lbScratch) probe(numColors, c int) int {
 	return -1
 }
 
-// slack returns the last cycle s before t at which the failed probe
+// assign is probe with interval identity: it runs Algorithm 2 at
+// capacity c and writes each placed interval's color into colors
+// (indexed like the instance's intervals). The pending intervals wait
+// in one FIFO list per deadline, threaded through next in start order
+// with head and tail per deadline, and the same bitmap marks the
+// non-empty lists. So the earliest deadline is a word-parallel scan
+// away, and among equal deadlines the interval admitted first (earlier
+// start, then lower index) is placed first. It returns and records
+// exactly what probe does at the same capacity, because both place
+// the same multiset of deadlines at every cycle.
+//
+// dpvet:hot
+func (sc *lbScratch) assign(numColors, c int, colors []int) int {
+	ends, idx, set, last := sc.ends, sc.idx, sc.set, sc.last
+	head, tail, next := sc.head, sc.tail, sc.next
+	lo, pending := numColors, 0 // lo never exceeds the earliest pending deadline
+	for x := 0; x < numColors; x++ {
+		from, to := sc.off[x], sc.off[x+1]
+		for p := from; p < to; p++ {
+			e := ends[p]
+			if bit := uint64(1) << (uint(e) & 63); set[e>>6]&bit == 0 {
+				set[e>>6] |= bit
+				head[e] = p
+			} else {
+				next[tail[e]] = p
+			}
+			tail[e] = p
+			lo = min(lo, int(e))
+		}
+		pending += int(to - from)
+		budget := c
+		for budget > 0 && pending > 0 {
+			lo = nextSet(set, lo)
+			p := head[lo]
+			colors[idx[p]] = x
+			budget--
+			pending--
+			if p == tail[lo] {
+				set[lo>>6] &^= 1 << (uint(lo) & 63)
+			} else {
+				head[lo] = next[p]
+			}
+		}
+		if budget > 0 {
+			last[x] = int32(numColors)
+		} else {
+			last[x] = int32(lo)
+		}
+		if set[x>>6]&(1<<(uint(x)&63)) != 0 {
+			clear(set)
+			return x
+		}
+	}
+	return -1
+}
+
+// slack returns the last cycle s before t at which the failed run
 // idled or placed an interval due after t, or -1 if there is none.
 func (sc *lbScratch) slack(t int) int {
 	s := t - 1
@@ -330,69 +431,18 @@ func nextSet(set []uint64, i int) int {
 	return w<<6 + bits.TrailingZeros64(set[w])
 }
 
-// edfEntry is one pending interval of Algorithm 2: its index and,
-// inline, the End it is keyed by.
-type edfEntry struct {
-	end, idx int32
-}
-
-// endHeap is a hand-rolled min-heap of pending intervals ordered by
-// End — the "deadline" heap of Algorithm 2. It reproduces
-// container/heap's sift order exactly (so EDF tie-breaks, and with
-// them the assigned colors, are unchanged) without heap.Interface's
-// boxed Push/Pop values and indirect Less calls.
-type endHeap []edfEntry
-
-func (h endHeap) less(i, j int) bool { return h[i].end < h[j].end }
-
-func (h *endHeap) push(e edfEntry) {
-	*h = append(*h, e)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *endHeap) pop() edfEntry {
-	q := *h
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	v := q[n]
-	q = q[:n]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && q.less(j2, j) {
-			j = j2
-		}
-		if !q.less(j, i) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-	*h = q
-	return v
-}
-
 // Assign implements Algorithm 2: process colors in increasing order,
-// admit the intervals whose Start equals the current color into a
-// min-heap keyed by End, and pop at most `capacity` intervals per color
-// (earliest deadline first), assigning them the current color.
+// admit the intervals whose Start equals the current color, and give
+// the current color to at most `capacity` pending intervals, earliest
+// deadline (End) first. Ties between equal deadlines go to the
+// interval admitted first: the earlier Start, then the lower index.
 //
 // With capacity = LowerBound(), the paper's theorem (§VI-C) guarantees
-// every popped interval still has End >= current color, so the coloring
-// is legal and its bottleneck equals the lower bound — i.e. it is
-// optimal. Assign nevertheless verifies legality and returns an error if
-// the capacity was too small (which indicates caller misuse, not an
-// algorithmic failure).
+// every interval is placed by its End, so the coloring is legal and
+// its bottleneck equals the lower bound — i.e. it is optimal. Assign
+// nevertheless returns an error when an interval is still pending at
+// the end of its End color, which means the capacity was too small
+// (caller misuse, not an algorithmic failure).
 func (inst *Instance) Assign(capacity int) ([]int, error) {
 	k := len(inst.Intervals)
 	if k == 0 {
@@ -401,42 +451,14 @@ func (inst *Instance) Assign(capacity int) ([]int, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("bcp: capacity %d must be positive", capacity)
 	}
-	// Counting-sort interval indices by start color into one CSR array
-	// (the "sort by starting time" of Algorithm 2 line 1): the
-	// intervals starting at color c are byStart[off[c]:off[c+1]], in
-	// index order.
-	off := make([]int, inst.NumColors+2)
-	for _, iv := range inst.Intervals {
-		off[iv.Start+2]++
-	}
-	for s := 2; s < len(off); s++ {
-		off[s] += off[s-1]
-	}
-	byStart := make([]int, k)
-	for i, iv := range inst.Intervals {
-		byStart[off[iv.Start+1]] = i
-		off[iv.Start+1]++
-	}
-
+	sc := getLBScratch(inst.NumColors, k)
+	defer lbPool.Put(sc)
+	sc.bucket(inst.Intervals, inst.NumColors)
 	colors := make([]int, k)
-	h := make(endHeap, 0, k)
-	assigned := 0
-	for c := 0; c < inst.NumColors; c++ {
-		for _, i := range byStart[off[c]:off[c+1]] {
-			h.push(edfEntry{end: int32(inst.Intervals[i].End), idx: int32(i)})
-		}
-		for picked := 0; picked < capacity && len(h) > 0; picked++ {
-			e := h.pop()
-			if int(e.end) < c {
-				return nil, fmt.Errorf("bcp: interval [%d,%d] missed its deadline at color %d (capacity %d too small)",
-					inst.Intervals[e.idx].Start, e.end, c, capacity)
-			}
-			colors[e.idx] = c
-			assigned++
-		}
-	}
-	if assigned != k {
-		return nil, fmt.Errorf("bcp: %d of %d intervals left unassigned", k-assigned, k)
+	if t := sc.assign(inst.NumColors, capacity, colors); t >= 0 {
+		i := sc.idx[sc.head[t]]
+		return nil, fmt.Errorf("bcp: interval %d = [%d,%d] missed its deadline (capacity %d too small)",
+			i, inst.Intervals[i].Start, t, capacity)
 	}
 	return colors, nil
 }
@@ -452,28 +474,32 @@ func (inst *Instance) Solve() (*Solution, error) {
 // non-nil it accumulates the probe count and the wall time of the
 // bound and assignment phases. A nil st takes the exact untimed path
 // of Solve. A bound whose witness fails to prove it is an error.
+//
+// The search for the bound runs its decisive capacity as a full
+// Algorithm 2 (see search), so when that run succeeds its coloring is
+// the answer and the feasibility proof at once; only a bound the
+// search reached without such a run (the largest start bucket, or a
+// galloping probe) costs one more run.
 func (inst *Instance) SolveStats(st *Stats) (*Solution, error) {
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
+	k := len(inst.Intervals)
+	if k == 0 {
+		return &Solution{Colors: nil, Bottleneck: 0, LowerBound: 0}, nil
 	}
-	lb, _, err := inst.bound(st)
-	if st != nil {
-		st.BoundNS += time.Since(t0).Nanoseconds()
-	}
+	sc := getLBScratch(inst.NumColors, k)
+	defer lbPool.Put(sc)
+	colors := make([]int, k)
+	lb, _, placed, err := inst.search(sc, st, colors)
 	if err != nil {
 		return nil, err
-	}
-	if len(inst.Intervals) == 0 {
-		return &Solution{Colors: nil, Bottleneck: 0, LowerBound: 0}, nil
 	}
 	var t1 time.Time
 	if st != nil {
 		t1 = time.Now()
 	}
-	colors, err := inst.Assign(lb)
-	if err != nil {
-		return nil, err
+	if !placed {
+		if t := sc.assign(inst.NumColors, lb, colors); t >= 0 {
+			return nil, fmt.Errorf("bcp: Algorithm 2 misses deadline %d at the proven bound %d", t, lb)
+		}
 	}
 	bn, err := inst.CheckColoring(colors)
 	if st != nil {

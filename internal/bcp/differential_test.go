@@ -2,6 +2,7 @@ package bcp
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -57,15 +58,22 @@ func TestLowerBoundScratchResize(t *testing.T) {
 	}
 }
 
-// TestLowerBoundConcurrent runs bounds in parallel over shared
-// instances; under -race this checks the scratch pool hand-off.
+// TestLowerBoundConcurrent runs bounds and solves in parallel over
+// shared instances; under -race this checks the scratch pool hand-off,
+// and a scratch shared by mistake shows up as a wrong coloring.
 func TestLowerBoundConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	insts := make([]*Instance, 6)
 	wants := make([]int, len(insts))
+	colors := make([][]int, len(insts))
 	for i := range insts {
 		insts[i] = randomInstance(r, 80, 60)
 		wants[i] = insts[i].lowerBoundRef()
+		sol, err := insts[i].Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		colors[i] = sol.Colors
 	}
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
@@ -75,6 +83,10 @@ func TestLowerBoundConcurrent(t *testing.T) {
 				i := (g + iter) % len(insts)
 				if got := insts[i].LowerBound(); got != wants[i] {
 					t.Errorf("goroutine %d: instance %d bound %d, want %d", g, i, got, wants[i])
+					return
+				}
+				if sol, err := insts[i].Solve(); err != nil || !slices.Equal(sol.Colors, colors[i]) {
+					t.Errorf("goroutine %d: instance %d solved to %v (%v), want %v", g, i, sol, err, colors[i])
 					return
 				}
 			}

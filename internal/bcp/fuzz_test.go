@@ -1,6 +1,9 @@
 package bcp
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // fuzzInstance decodes arbitrary bytes into a small instance: the first
 // byte picks 1..24 colors, and each following pair of bytes is one
@@ -23,8 +26,9 @@ func fuzzInstance(data []byte) *Instance {
 // small instances: it equals Algorithm 1's window sweep and the sparse
 // endpoint form (and the exhaustive optimum when that is cheap), its
 // witness window holds more than lb-1 intervals per color, and
-// Algorithm 2 attains it legally while one less capacity fails. Seeds
-// live in testdata/fuzz/FuzzLowerBound.
+// Algorithm 2 attains it legally, with the coloring Solve returns,
+// while one less capacity fails. Seeds live in
+// testdata/fuzz/FuzzLowerBound.
 func FuzzLowerBound(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inst := fuzzInstance(data)
@@ -58,6 +62,9 @@ func FuzzLowerBound(f *testing.F) {
 		}
 		if bn, err := inst.CheckColoring(colors); err != nil || bn != lb {
 			t.Fatalf("Assign(%d) gave bottleneck %d (%v)", lb, bn, err)
+		}
+		if sol, err := inst.Solve(); err != nil || !slices.Equal(sol.Colors, colors) {
+			t.Fatalf("Solve gave %v (%v), Assign(%d) %v", sol, err, lb, colors)
 		}
 		if _, err := inst.Assign(lb - 1); err == nil {
 			t.Fatalf("Assign(%d) succeeded below the bound", lb-1)
