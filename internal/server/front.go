@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"time"
@@ -275,7 +273,7 @@ func (f *Front) jobPayload(req jobSubmit) (jobs.Submission, error) {
 	} else if err := f.validateBatch(BatchRequest{Jobs: req.Jobs}); err != nil {
 		return jobs.Submission{}, err
 	}
-	payload, err := json.Marshal(req)
+	payload, err := marshalJSON(req)
 	return jobs.Submission{Payload: payload, Req: req, Total: total}, err
 }
 
@@ -283,7 +281,7 @@ func (f *Front) jobPayload(req jobSubmit) (jobs.Submission, error) {
 // payload with the strict decoder the submit path uses.
 func decodeJob(payload json.RawMessage) (any, error) {
 	var req jobSubmit
-	err := decodeStrict(bytes.NewReader(payload), &req)
+	err := decodeStrict(payload, &req)
 	return req, err
 }
 
@@ -305,7 +303,7 @@ func (f *Front) runJob(ctx context.Context, req any) (json.RawMessage, error) {
 	} else {
 		out = f.tier.Backend.Batch(ctx, BatchRequest{Jobs: job.Jobs, Debug: job.Debug})
 	}
-	data, err := json.Marshal(out)
+	data, err := marshalJSON(out)
 	if err != nil {
 		return nil, fmt.Errorf("encoding job result: %w", err)
 	}
@@ -316,7 +314,11 @@ func (f *Front) runJob(ctx context.Context, req any) (json.RawMessage, error) {
 // error itself (and returning false) on failure.
 func (f *Front) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes)
-	if err := decodeStrict(r.Body, v); err != nil {
+	data, err := readBody(r.Body, r.ContentLength, f.cfg.MaxBodyBytes)
+	if err == nil {
+		err = decodeStrict(data, v)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
@@ -328,14 +330,6 @@ func (f *Front) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
-}
-
-// decodeStrict decodes one JSON value from r into v, rejecting unknown
-// fields.
-func decodeStrict(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }
 
 // StatusError is an error that names its own HTTP answer. A
@@ -377,9 +371,23 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, errorResponse{Error: msg})
 }
 
+// writeJSON answers status with v's JSON encoding and a newline, as
+// json.Encoder writes it with HTML escaping off. Bodies the fast
+// encoder covers are built in a pooled buffer and written at once.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	bp := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(bp)
+	body, ok := encodeFast((*bp)[:0], v, false)
+	if ok {
+		body = append(body, '\n')
+	}
+	*bp = body[:0]
+	if ok {
+		_, _ = w.Write(body)
+		return
+	}
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
